@@ -8,11 +8,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/korder"
 	"repro/internal/partition"
 	"repro/internal/profile"
+	"repro/internal/scenario"
+	"repro/internal/stm"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -47,8 +51,18 @@ type goldenCase struct {
 	SynthSHA string `json:"synth_sha256"`
 }
 
+// goldenStream freezes one request stream produced by a merge-based
+// path the trace/profile/synth triple does not reach: the STM and
+// history-k baselines, scenario composition and trace.Merge itself.
+type goldenStream struct {
+	Name     string `json:"name"`
+	Requests int    `json:"requests"`
+	SHA      string `json:"sha256"`
+}
+
 type manifest struct {
-	Cases []goldenCase `json:"cases"`
+	Cases   []goldenCase   `json:"cases"`
+	Streams []goldenStream `json:"streams"`
 }
 
 // goldenConfigs names the partition configurations the corpus uses.
@@ -58,6 +72,9 @@ func goldenConfigs() map[string]partition.Config {
 		"2lts-100k":   partition.TwoLevelTS(100_000),
 		"req-256-dyn": partition.TwoLevelRequestCount(256, 0),
 		"req-512-4k":  partition.TwoLevelRequestCount(512, 4096),
+		// A spatial first layer cannot stream: it drives the
+		// materialising fallback of the streaming partitioner.
+		"spatial-4k": {Layers: []partition.Layer{{Kind: partition.SpatialFixed, Param: 4096}}},
 	}
 }
 
@@ -98,7 +115,104 @@ func goldenPlan() []goldenCase {
 		{Name: "single-request", Config: "2lts-500k", Seed: 42},
 		{Name: "hevc1-head", Config: "2lts-500k", Seed: 42},
 		{Name: "crypto1-head", Config: "2lts-100k", Seed: 11},
+		{Name: "two-phase", Config: "spatial-4k", Seed: 42},
 	}
+}
+
+// goldenStreams computes the stream digests. Each entry is a pure
+// function of the corpus traces and fixed seeds.
+func goldenStreams(t *testing.T, traces map[string]trace.Trace, configs map[string]partition.Config) []goldenStream {
+	t.Helper()
+	var out []goldenStream
+	add := func(name string, reqs trace.Trace, tags []byte) {
+		out = append(out, goldenStream{
+			Name:     name,
+			Requests: len(reqs),
+			SHA: digest(t, func(w io.Writer) error {
+				if _, err := trace.WriteBinary(w, reqs); err != nil {
+					return err
+				}
+				_, err := w.Write(tags)
+				return err
+			}),
+		})
+	}
+	twoPhase := traces["two-phase"]
+
+	sp, err := stm.Build("two-phase", twoPhase, configs["req-256-dyn"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("stm/two-phase/req-256-dyn", trace.Collect(stm.Synthesize(sp, 42), 0), nil)
+
+	kp, err := korder.Build("two-phase", twoPhase, configs["req-256-dyn"], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("korder2/two-phase/req-256-dyn", trace.Collect(korder.Synthesize(kp, 42), 0), nil)
+
+	// Three devices; the first two share a profile and a seed, so every
+	// one of their requests ties on time and the device-index tie-break
+	// decides the order. Each request is tagged with its device.
+	uni, err := core.Build("uniform-tiny", traces["uniform-tiny"], configs["2lts-100k"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hevc, err := core.Build("hevc1-head", traces["hevc1-head"], configs["2lts-500k"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(c string) string { return strings.Repeat(c, 64) }
+	views := map[string]profile.View{id("a"): uni, id("b"): hevc}
+	spec := &scenario.Spec{Devices: []scenario.Device{
+		{Profile: id("a"), Window: &scenario.Window{Base: 0, Size: 1 << 24}, Seed: 3},
+		{Profile: id("a"), Window: &scenario.Window{Base: 1 << 24, Size: 1 << 24}, Seed: 3},
+		{Profile: id("b"), Window: &scenario.Window{Base: 1 << 25, Size: 1 << 24}, Dilation: 0.5, Seed: 4, Count: 3000},
+	}}
+	st, err := scenario.Compose(spec, func(pid string) (profile.View, func(), error) {
+		return views[pid], func() {}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs trace.Trace
+	var tags []byte
+	for {
+		r, dev, ok := st.NextDev()
+		if !ok {
+			break
+		}
+		reqs = append(reqs, r)
+		tags = append(tags, byte(dev))
+	}
+	st.Close()
+	add("compose/3-device", reqs, tags)
+
+	// trace.Merge over replayers that collide on every timestamp, with
+	// nil and empty arguments in between, and backpressure applied
+	// mid-stream. Addr names the source.
+	tied := func(src uint64) trace.Trace {
+		var tr trace.Trace
+		for i := uint64(0); i < 40; i++ {
+			tr = append(tr, trace.Request{Time: 100 + i/src*src*10, Addr: src, Size: 64})
+		}
+		return tr
+	}
+	m := trace.Merge(trace.NewReplayer(tied(1)), nil, trace.NewReplayer(tied(2)),
+		trace.NewReplayer(nil), trace.NewReplayer(tied(3)), trace.NewReplayer(tied(1)))
+	var merged trace.Trace
+	for {
+		r, ok := m.Next()
+		if !ok {
+			break
+		}
+		merged = append(merged, r)
+		if len(merged)%7 == 0 {
+			m.Delay(5)
+		}
+	}
+	add("merge/ties-nil-delay", merged, nil)
+	return out
 }
 
 // digest hashes whatever write emits.
@@ -148,6 +262,7 @@ func TestGoldenCorpus(t *testing.T) {
 		c.SynthSHA = digest(t, func(w io.Writer) error { _, err := trace.WriteBinary(w, syn); return err })
 		got.Cases = append(got.Cases, c)
 	}
+	got.Streams = goldenStreams(t, traces, configs)
 
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(manifestPath), 0o755); err != nil {
@@ -190,6 +305,21 @@ func TestGoldenCorpus(t *testing.T) {
 			t.Errorf("%s: pipeline output drifted from golden corpus:\n  want %+v\n  got  %+v\n"+
 				"if the change is intentional, refresh with: go test ./internal/conform -run TestGoldenCorpus -update",
 				caseKey(g), w, g)
+		}
+	}
+	if len(want.Streams) != len(got.Streams) {
+		t.Errorf("manifest holds %d streams, plan has %d (run -update after changing the plan)",
+			len(want.Streams), len(got.Streams))
+	}
+	streams := make(map[string]goldenStream, len(want.Streams))
+	for _, s := range want.Streams {
+		streams[s.Name] = s
+	}
+	for _, g := range got.Streams {
+		if w, ok := streams[g.Name]; !ok {
+			t.Errorf("stream %s: missing from manifest (run -update)", g.Name)
+		} else if g != w {
+			t.Errorf("stream %s: output drifted from golden corpus:\n  want %+v\n  got  %+v", g.Name, w, g)
 		}
 	}
 }
