@@ -505,6 +505,16 @@ func refsOf(s *Server, id string) int {
 	return s.store.refs(id)
 }
 
+// await polls cond until it holds or a 5 s deadline passes. A streamed
+// response can be fully read before the handler's deferred work (trace
+// recording, pin release) has run; tests wait for that state here and
+// leave their assertions to report a timeout.
+func await(cond func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A client that disconnects mid-stream stops the generator: the
 // profile's pin is released and the active-stream gauge returns to
 // zero shortly after the close.
@@ -582,6 +592,7 @@ func TestConcurrentStreams(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	await(func() bool { return refsOf(s, meta.ID) == 0 && s.ActiveStreams() == 0 })
 	if got := refsOf(s, meta.ID); got != 0 {
 		t.Fatalf("%d pins leaked", got)
 	}
@@ -678,6 +689,7 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 
 	// Demote, so the next acquire promotes a flat mapping: the stored
 	// encoding is now flat, and gz can still be forced.
+	await(func() bool { return refsOf(s, meta.ID) == 0 })
 	if !s.Store().Demote(meta.ID) {
 		t.Fatal("Demote failed")
 	}
@@ -709,6 +721,7 @@ func TestSynthColdHitByteIdentical(t *testing.T) {
 		return body
 	}
 	warm := stream()
+	await(func() bool { return refsOf(s, meta.ID) == 0 })
 	if !s.Store().Demote(meta.ID) {
 		t.Fatal("Demote failed")
 	}

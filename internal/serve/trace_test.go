@@ -111,6 +111,7 @@ func TestDebugRequests(t *testing.T) {
 	if st, _ := streamSynth(t, ts.URL, meta.ID, 1); st != http.StatusOK {
 		t.Fatalf("synth status %d", st)
 	}
+	await(func() bool { return ringTrace(srv, "serve.synth") != nil })
 
 	resp, err := http.Get(ts.URL + "/debug/requests?n=8")
 	if err != nil {
@@ -288,6 +289,10 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	traceID := parent.TraceID.String()
+	await(func() bool {
+		return ringTrace(srvB, "serve.synth") != nil && ringTrace(srvA, "serve.get") != nil &&
+			strings.Contains(bufB.String(), traceID) && strings.Contains(bufA.String(), traceID)
+	})
 	if got := resp.Header.Get("X-Request-Id"); got != traceID {
 		t.Fatalf("X-Request-Id = %q, want %q", got, traceID)
 	}
