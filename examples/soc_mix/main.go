@@ -31,7 +31,7 @@ func main() {
 	// In practice the profiles arrive from the IP vendors and live in a
 	// mocktailsd store; here we build them ourselves, address them by
 	// content like the store does, and then forget the traces.
-	var real []trace.Source
+	var real []trace.Puller
 	shelf := map[string]*profile.Profile{}
 	var spec scenario.Spec
 	for i, name := range names {

@@ -51,22 +51,19 @@ func Workers(n int) BuildOption { return profile.Workers(n) }
 // internal/obs). The profile is identical with or without it.
 func BuildContext(ctx context.Context) BuildOption { return profile.Context(ctx) }
 
-// Build creates a Mocktails statistical profile from a trace. The trace
-// must be sorted by time; name labels the workload in the profile.
+// Build creates a Mocktails statistical profile from a trace:
+// BuildStream over the materialised trace. The trace must be sorted by
+// time; name labels the workload in the profile.
 func Build(name string, t trace.Trace, cfg Config, opts ...BuildOption) (*profile.Profile, error) {
-	if !t.Sorted() {
-		return nil, fmt.Errorf("core: trace %q is not sorted by time", name)
-	}
-	return profile.Build(name, t, cfg, opts...)
+	return BuildStream(name, trace.NewSliceReader(t), cfg, opts...)
 }
 
-// BuildStream is Build over an incremental trace reader (see
+// BuildStream builds a profile from an incremental trace reader (see
 // trace.Decoder): the trace is partitioned and fitted single-pass as
 // records arrive, in O(open window + queued leaves + fitted models)
-// peak memory, and the profile is byte-identical to Build's for the
-// same records. Sortedness is enforced as the stream flows — a
-// timestamp regression aborts the build with the same not-sorted error
-// Build reports.
+// peak memory. Sortedness is enforced as the stream flows — a
+// timestamp regression aborts the build with a not-sorted error
+// wrapping partition.ErrOutOfOrder.
 func BuildStream(name string, rd trace.Reader, cfg Config, opts ...BuildOption) (*profile.Profile, error) {
 	p, err := profile.BuildStream(name, rd, cfg, opts...)
 	if err != nil {

@@ -132,7 +132,7 @@ func runL1(t trace.Trace, cfg cache.Config) float64 {
 // system, compared with the merged original traces.
 func (e *Env) RunSoC() *Table {
 	names := []string{"T-Rex1", "HEVC1", "FBC-Linear1"}
-	var real, mock []trace.Source
+	var real, mock []trace.Puller
 	for i, name := range names {
 		tr := e.Trace(name)
 		real = append(real, trace.NewReplayer(tr))

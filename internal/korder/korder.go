@@ -8,6 +8,8 @@
 package korder
 
 import (
+	"context"
+
 	"repro/internal/markov"
 	"repro/internal/partition"
 	"repro/internal/stats"
@@ -35,17 +37,16 @@ type Profile struct {
 	Leaves []Leaf
 }
 
-// Build fits a history-k profile with the given hierarchy.
+// Build fits a history-k profile with the given hierarchy. The trace
+// must be sorted by time; an unsorted trace is rejected with an error
+// wrapping partition.ErrOutOfOrder.
 func Build(name string, t trace.Trace, cfg partition.Config, order int) (*Profile, error) {
-	leaves, err := partition.Split(t, cfg)
+	leaves, _, err := partition.FitStream(context.Background(), trace.NewSliceReader(t), cfg, 0,
+		func(l partition.Leaf) Leaf { return fitLeaf(l, order) })
 	if err != nil {
 		return nil, err
 	}
-	p := &Profile{Name: name, Order: order, Leaves: make([]Leaf, 0, len(leaves))}
-	for _, l := range leaves {
-		p.Leaves = append(p.Leaves, fitLeaf(l, order))
-	}
-	return p, nil
+	return &Profile{Name: name, Order: order, Leaves: leaves}, nil
 }
 
 func fitLeaf(l partition.Leaf, order int) Leaf {
@@ -79,13 +80,13 @@ func fitLeaf(l partition.Leaf, order int) Leaf {
 // history-k profile.
 func Synthesize(p *Profile, seed uint64) trace.Source {
 	rng := stats.NewRNG(seed)
-	gens := make([]synth.Gen, 0, len(p.Leaves))
+	gens := make([]trace.Puller, 0, len(p.Leaves))
 	for i := range p.Leaves {
 		if g := newLeafGen(&p.Leaves[i], rng.Fork()); g != nil {
 			gens = append(gens, g)
 		}
 	}
-	return synth.NewMerger(gens)
+	return trace.Merge(gens...)
 }
 
 type leafGen struct {
@@ -95,46 +96,47 @@ type leafGen struct {
 	op      *markov.HGenerator
 	size    *markov.HGenerator
 	emitted uint32
-	pending trace.Request
+	last    trace.Request
 }
 
 func newLeafGen(l *Leaf, rng *stats.RNG) *leafGen {
 	if l.Count == 0 {
 		return nil
 	}
-	g := &leafGen{
+	return &leafGen{
 		leaf:   l,
 		dt:     markov.NewHGenerator(&l.DeltaTime, rng.Fork()),
 		stride: markov.NewHGenerator(&l.Stride, rng.Fork()),
 		op:     markov.NewHGenerator(&l.Op, rng.Fork()),
 		size:   markov.NewHGenerator(&l.Size, rng.Fork()),
 	}
-	g.pending = trace.Request{
-		Time: l.StartTime,
-		Addr: l.StartAddr,
-		Op:   synth.OpFromValue(g.op.Next()),
-		Size: synth.SizeFromValue(g.size.Next()),
-	}
-	g.emitted = 1
-	return g
 }
 
-func (g *leafGen) Pending() trace.Request { return g.pending }
-
-func (g *leafGen) Advance() bool {
+// Next generates the leaf's next request; it returns false once the
+// leaf has produced all Count requests.
+func (g *leafGen) Next() (trace.Request, bool) {
 	if g.emitted >= g.leaf.Count {
-		return false
+		return trace.Request{}, false
+	}
+	if g.emitted == 0 {
+		g.last = trace.Request{
+			Time: g.leaf.StartTime,
+			Addr: g.leaf.StartAddr,
+			Op:   synth.OpFromValue(g.op.Next()),
+			Size: synth.SizeFromValue(g.size.Next()),
+		}
+	} else {
+		dt := g.dt.Next()
+		if dt < 0 {
+			dt = 0
+		}
+		g.last = trace.Request{
+			Time: g.last.Time + uint64(dt),
+			Addr: synth.WrapAddr(int64(g.last.Addr)+g.stride.Next(), g.leaf.Lo, g.leaf.Hi),
+			Op:   synth.OpFromValue(g.op.Next()),
+			Size: synth.SizeFromValue(g.size.Next()),
+		}
 	}
 	g.emitted++
-	dt := g.dt.Next()
-	if dt < 0 {
-		dt = 0
-	}
-	g.pending = trace.Request{
-		Time: g.pending.Time + uint64(dt),
-		Addr: synth.WrapAddr(int64(g.pending.Addr)+g.stride.Next(), g.leaf.Lo, g.leaf.Hi),
-		Op:   synth.OpFromValue(g.op.Next()),
-		Size: synth.SizeFromValue(g.size.Next()),
-	}
-	return true
+	return g.last, true
 }

@@ -1,6 +1,7 @@
 package korder
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -48,6 +49,18 @@ func TestBuildAndSynthesizeCounts(t *testing.T) {
 func TestBuildInvalidConfig(t *testing.T) {
 	if _, err := Build("x", periodicTrace(10), partition.Config{}, 1); err == nil {
 		t.Error("empty config accepted")
+	}
+}
+
+// TestBuildOutOfOrder: an unsorted trace is rejected with
+// partition.ErrOutOfOrder in the error chain.
+func TestBuildOutOfOrder(t *testing.T) {
+	tr := trace.Trace{
+		{Time: 10, Addr: 0x1000, Size: 64, Op: trace.Read},
+		{Time: 5, Addr: 0x1040, Size: 64, Op: trace.Write},
+	}
+	if _, err := Build("bad", tr, core.DefaultConfig(), 2); !errors.Is(err, partition.ErrOutOfOrder) {
+		t.Fatalf("err = %v, want ErrOutOfOrder", err)
 	}
 }
 

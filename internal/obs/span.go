@@ -157,8 +157,8 @@ func (s *Span) Children() []*Span {
 //
 //	mocktails.check                 41.2ms
 //	  profile                       17.0ms  requests=12000
-//	    partition.split              3.1ms  leaves=210
-//	    profile.fit                 13.4ms  leaves=210
+//	    profile.build_stream        16.8ms  leaves=210
+//	      partition.stream          16.6ms  leaves=210
 //
 // Durations are wall times; counts follow as name=value pairs.
 func (s *Span) WriteTree(w io.Writer) {

@@ -31,18 +31,18 @@ var (
 	mIngestFallback = obs.NewCounter("ingest.materialized_fallbacks")
 )
 
-// ErrOutOfOrder is returned by Streamer.Push (and wrapped by the
-// streaming build paths) when a request's timestamp precedes its
-// predecessor's. Temporal windows can only be closed incrementally over
-// a time-sorted stream.
+// ErrOutOfOrder is returned by Streamer.Push (and wrapped by the build
+// paths) when a request's timestamp precedes its predecessor's.
+// Temporal windows can only be closed incrementally over a time-sorted
+// stream.
 var ErrOutOfOrder = errors.New("partition: request timestamps out of order")
 
 // Streamer incrementally applies a hierarchy whose first layer is
 // temporal. Push returns the leaves of every window the new request
-// closed (usually none); Flush closes the final partial window. Each
-// window is accumulated into its own backing array, so once the
-// consumer drops a window's leaves that memory is unreachable — the
-// property streaming ingestion's O(frontier) bound rests on.
+// closed (usually none); Flush closes the final partial window. Leaves
+// never share memory across windows, so once the consumer drops a
+// window's leaves that memory is unreachable — the property streaming
+// ingestion's O(frontier) bound rests on.
 //
 // Leaf content, bounds and order are identical to Split on the
 // materialised trace: windows close exactly where byCycleCount /
@@ -50,9 +50,16 @@ var ErrOutOfOrder = errors.New("partition: request timestamps out of order")
 // expansion code.
 type Streamer struct {
 	first Layer
-	rest  []Layer
+	// rest are the layers applied to a closed window: those below a
+	// temporal first layer, or every layer when the whole trace is the
+	// one window (a spatial first layer, see newStreamer).
+	rest []Layer
 
-	cur      trace.Trace
+	cur trace.Trace
+	// reuse is set when rest holds a spatial layer: spatial grouping
+	// copies requests into fresh per-region slices, so no leaf aliases
+	// the window buffer and one buffer serves every window.
+	reuse    bool
 	started  bool
 	anchor   uint64 // first request's timestamp (cycle-count bins)
 	bin      uint64 // current cycle-count bin
@@ -70,7 +77,21 @@ func NewStreamer(cfg Config) (*Streamer, error) {
 	if !cfg.Layers[0].Kind.Temporal() {
 		return nil, fmt.Errorf("partition: streaming requires a temporal first layer, got %s", cfg.Layers[0].Kind)
 	}
-	return &Streamer{first: cfg.Layers[0], rest: cfg.Layers[1:]}, nil
+	return newStreamer(cfg), nil
+}
+
+// newStreamer builds a Streamer for a validated cfg. A spatial first
+// layer never closes a window before Flush, which then splits the whole
+// buffered trace exactly as Split does: the materialising fallback.
+func newStreamer(cfg Config) *Streamer {
+	s := &Streamer{first: cfg.Layers[0], rest: cfg.Layers[1:]}
+	if !s.first.Kind.Temporal() {
+		s.rest = cfg.Layers
+	}
+	for _, l := range s.rest {
+		s.reuse = s.reuse || !l.Kind.Temporal()
+	}
+	return s
 }
 
 // Push adds one request and returns the fully-expanded leaves of any
@@ -98,6 +119,8 @@ func (s *Streamer) Push(r trace.Request) ([]Leaf, error) {
 		if uint64(len(s.cur)) >= s.first.Param {
 			closed = s.closeWindow()
 		}
+	default:
+		s.cur = append(s.cur, r)
 	}
 	s.started = true
 	s.lastTime = r.Time
@@ -125,9 +148,14 @@ func (s *Streamer) OpenBytes() uint64 { return uint64(len(s.cur)) * trace.Reques
 
 func (s *Streamer) closeWindow() []Leaf {
 	sub := s.cur
-	s.cur = nil // next window gets a fresh backing array
 	lo, hi := sub.AddrRange()
-	return expandPart(Leaf{Reqs: sub, Lo: lo, Hi: hi}, s.rest)
+	leaves := expandPart(Leaf{Reqs: sub, Lo: lo, Hi: hi}, s.rest)
+	if s.reuse {
+		s.cur = sub[:0]
+	} else {
+		s.cur = nil // the leaves alias sub: the next window gets a fresh array
+	}
+	return leaves
 }
 
 // fitQueueFactor sizes FitStream's pool queue relative to the worker
@@ -136,22 +164,23 @@ func (s *Streamer) closeWindow() []Leaf {
 const fitQueueFactor = 2
 
 // FitStream decodes requests from rd, partitions them incrementally and
-// calls fit for every leaf under the pool's concurrency, returning once
-// every leaf has been fitted. Leaf indexes are assigned in the exact
-// order Split would produce, so a fit callback that commits by index
-// reconstructs the materialised result byte-for-byte. Backpressure from
-// the bounded fit queue caps trace memory at O(open window + queued
-// leaves) — the streaming frontier.
+// fits every leaf with fit under the pool's concurrency, returning the
+// fitted leaves and the number of records read. Fitted leaves come back
+// in the exact order Split produces the leaves, so the result equals
+// fitting Split's output serially, for any worker count. Backpressure
+// from the bounded fit queue caps trace memory at O(open window +
+// queued leaves) — the streaming frontier.
 //
 // Hierarchies without a temporal first layer cannot stream; FitStream
 // transparently materialises the trace for those (counting
 // ingest.materialized_fallbacks), so callers get one code path for
 // every configuration. The stream must be time-sorted in either mode;
 // violations return an error wrapping ErrOutOfOrder.
-func FitStream(ctx context.Context, rd trace.Reader, cfg Config, workers int, fit func(i int, l Leaf)) (records uint64, leaves int, err error) {
+func FitStream[L any](ctx context.Context, rd trace.Reader, cfg Config, workers int, fit func(Leaf) L) (fitted []L, records uint64, err error) {
 	if err := cfg.Validate(); err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
+	leaves := 0
 	_, sp := obs.Start(ctx, "partition.stream")
 	defer func() {
 		sp.SetCount("requests", int64(records))
@@ -160,12 +189,9 @@ func FitStream(ctx context.Context, rd trace.Reader, cfg Config, workers int, fi
 	}()
 
 	if !cfg.Layers[0].Kind.Temporal() {
-		return fitMaterialized(ctx, rd, cfg, workers, fit)
+		mIngestFallback.Inc()
 	}
-	st, err := NewStreamer(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
+	st := newStreamer(cfg)
 
 	pool := par.NewPool(ctx, workers, par.Workers(workers)*fitQueueFactor)
 	var (
@@ -173,53 +199,76 @@ func FitStream(ctx context.Context, rd trace.Reader, cfg Config, workers int, fi
 		inflightReqs   atomic.Int64 // their request counts
 		counted        uint64       // records already flushed to mIngestRecords
 	)
+	// Leaves are handed to the pool in batches of about fitBatchReqs
+	// requests: interval-partitioned traces close thousands of tiny
+	// leaves, and one hand-off per leaf would cost more than its fit.
+	// Each batch's task fits into its own slot of results, which only
+	// this goroutine appends to, so committing needs no lock.
+	var (
+		batch     []Leaf
+		batchReqs int
+		results   [][]L
+	)
+	submit := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		b, res, nr := batch, make([]L, len(batch)), int64(batchReqs)
+		results = append(results, res)
+		batch, batchReqs = nil, 0
+		inflightLeaves.Add(int64(len(b)))
+		inflightReqs.Add(nr)
+		return pool.Submit(func() {
+			for k, l := range b {
+				res[k] = fit(l)
+			}
+			inflightLeaves.Add(-int64(len(b)))
+			inflightReqs.Add(-nr)
+		})
+	}
 	dispatch := func(closed []Leaf) error {
 		for _, l := range closed {
-			i := leaves
+			batch = append(batch, l)
 			leaves++
-			l := l
-			nr := int64(len(l.Reqs))
-			inflightLeaves.Add(1)
-			inflightReqs.Add(nr)
-			if err := pool.Submit(func() {
-				fit(i, l)
-				inflightLeaves.Add(-1)
-				inflightReqs.Add(-nr)
-			}); err != nil {
-				return err
+			if batchReqs += len(l.Reqs); batchReqs >= fitBatchReqs {
+				if err := submit(); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
 	gauges := func() {
-		mOpenLeaves.Set(float64(inflightLeaves.Load()))
-		mFrontierBytes.Set(float64(uint64(inflightReqs.Load())*trace.RequestMemBytes + st.OpenBytes()))
+		mOpenLeaves.Set(float64(inflightLeaves.Load() + int64(len(batch))))
+		pending := uint64(inflightReqs.Load()) + uint64(batchReqs)
+		mFrontierBytes.Set(float64(pending*trace.RequestMemBytes + st.OpenBytes()))
 	}
 
 	var r trace.Request
-	var rerr error
 	for {
 		if records%cancelCheckEvery == 0 && ctx != nil {
-			if rerr = ctx.Err(); rerr != nil {
+			if err = ctx.Err(); err != nil {
 				break
 			}
 		}
 		nerr := rd.Next(&r)
 		if nerr == io.EOF {
-			rerr = dispatch(st.Flush())
+			if err = dispatch(st.Flush()); err == nil {
+				err = submit()
+			}
 			break
 		}
 		if nerr != nil {
-			rerr = nerr
+			err = nerr
 			break
 		}
 		records++
 		closed, perr := st.Push(r)
 		if perr != nil {
-			rerr = perr
+			err = perr
 			break
 		}
-		if rerr = dispatch(closed); rerr != nil {
+		if err = dispatch(closed); err != nil {
 			break
 		}
 		if records%gaugeEvery == 0 {
@@ -232,52 +281,21 @@ func FitStream(ctx context.Context, rd trace.Reader, cfg Config, workers int, fi
 	mIngestRecords.Add(records - counted)
 	gauges()
 	mLeaves.Add(uint64(leaves))
-	if rerr == nil {
-		rerr = cerr
+	if err == nil {
+		err = cerr
 	}
-	return records, leaves, rerr
+	if err != nil {
+		return nil, records, err
+	}
+	fitted = make([]L, 0, leaves)
+	for _, res := range results {
+		fitted = append(fitted, res...)
+	}
+	return fitted, records, nil
 }
 
-// fitMaterialized is FitStream's fallback for hierarchies that cannot
-// stream: read everything, Split, then feed leaves through the same
-// bounded pool so fit concurrency and the callback contract match the
-// streaming path.
-func fitMaterialized(ctx context.Context, rd trace.Reader, cfg Config, workers int, fit func(i int, l Leaf)) (uint64, int, error) {
-	mIngestFallback.Inc()
-	var t trace.Trace
-	var r trace.Request
-	for {
-		err := rd.Next(&r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return uint64(len(t)), 0, err
-		}
-		t = append(t, r)
-	}
-	mIngestRecords.Add(uint64(len(t)))
-	if !t.Sorted() {
-		return uint64(len(t)), 0, ErrOutOfOrder
-	}
-	leaves, err := SplitCtx(ctx, t, cfg)
-	if err != nil {
-		return uint64(len(t)), 0, err
-	}
-	pool := par.NewPool(ctx, workers, par.Workers(workers)*fitQueueFactor)
-	var serr error
-	for i, l := range leaves {
-		i, l := i, l
-		if serr = pool.Submit(func() { fit(i, l) }); serr != nil {
-			break
-		}
-	}
-	cerr := pool.Close()
-	if serr == nil {
-		serr = cerr
-	}
-	return uint64(len(t)), len(leaves), serr
-}
+// fitBatchReqs is the request count of one fit task (see FitStream).
+const fitBatchReqs = 2048
 
 // cancelCheckEvery matches the streaming trace encoders' cadence: the
 // read loop notices cancellation within one batch of records.

@@ -208,25 +208,9 @@ func TestNewStreamerRejectsSpatialFirst(t *testing.T) {
 	}
 }
 
-// fitCollect returns a fit callback committing leaves by index under a
-// lock, plus a way to read the result.
-func fitCollect() (func(i int, l Leaf), func() []Leaf) {
-	var mu chan struct{} = make(chan struct{}, 1)
-	mu <- struct{}{}
-	var out []Leaf
-	return func(i int, l Leaf) {
-			<-mu
-			for len(out) <= i {
-				out = append(out, Leaf{})
-			}
-			out[i] = l
-			mu <- struct{}{}
-		}, func() []Leaf {
-			<-mu
-			defer func() { mu <- struct{}{} }()
-			return out
-		}
-}
+// keep is the identity fit: FitStream then returns the leaves
+// themselves, in commit order.
+func keep(l Leaf) Leaf { return l }
 
 // TestFitStreamMatchesSplit: FitStream over a decoder-style reader
 // produces the same (index, leaf) assignment as Split, for both
@@ -246,16 +230,14 @@ func TestFitStreamMatchesSplit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fit, result := fitCollect()
-				records, leaves, err := FitStream(context.Background(), trace.NewSliceReader(tr), cfg, workers, fit)
+				got, records, err := FitStream(context.Background(), trace.NewSliceReader(tr), cfg, workers, keep)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if records != uint64(len(tr)) {
 					t.Fatalf("records = %d, want %d", records, len(tr))
 				}
-				got := result()
-				if leaves != len(want) || len(got) != len(want) {
+				if len(got) != len(want) {
 					t.Fatalf("fitted %d leaves, want %d", len(got), len(want))
 				}
 				if !reflect.DeepEqual(got, want) {
@@ -275,7 +257,7 @@ func TestFitStreamOutOfOrder(t *testing.T) {
 		"fallback":  {Layers: []Layer{{Kind: SpatialDynamic}}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := FitStream(context.Background(), trace.NewSliceReader(tr), cfg, 1, func(int, Leaf) {})
+			_, _, err := FitStream(context.Background(), trace.NewSliceReader(tr), cfg, 1, keep)
 			if !errors.Is(err, ErrOutOfOrder) {
 				t.Fatalf("err = %v, want ErrOutOfOrder", err)
 			}
@@ -289,7 +271,7 @@ func TestFitStreamCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := streamTrace(2000, 3)
-	_, _, err := FitStream(ctx, trace.NewSliceReader(tr), TwoLevelTS(100), 4, func(int, Leaf) {})
+	_, _, err := FitStream(ctx, trace.NewSliceReader(tr), TwoLevelTS(100), 4, keep)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -300,7 +282,7 @@ func TestFitStreamCancel(t *testing.T) {
 func TestFitStreamPropagatesDecodeError(t *testing.T) {
 	wantErr := errors.New("boom")
 	rd := &erroringReader{t: streamTrace(700, 9), failAt: 500, err: wantErr}
-	_, _, err := FitStream(context.Background(), rd, TwoLevelTS(100), 2, func(int, Leaf) {})
+	_, _, err := FitStream(context.Background(), rd, TwoLevelTS(100), 2, keep)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -322,18 +304,14 @@ func (e *erroringReader) Next(r *trace.Request) error {
 	return nil
 }
 
-// TestFitStreamLeafOrderSorted: indexes are dense and each leaf's
-// requests preserve stream order (spot invariants beyond DeepEqual).
+// TestFitStreamLeafOrderSorted: every returned leaf is non-empty and
+// each leaf's requests preserve stream order (spot invariants beyond
+// DeepEqual).
 func TestFitStreamLeafOrderSorted(t *testing.T) {
 	tr := streamTrace(3000, 11)
-	fit, result := fitCollect()
-	_, n, err := FitStream(context.Background(), trace.NewSliceReader(tr), TwoLevelTS(500), 8, fit)
+	got, _, err := FitStream(context.Background(), trace.NewSliceReader(tr), TwoLevelTS(500), 8, keep)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got := result()
-	if len(got) != n {
-		t.Fatalf("callback saw %d leaves, FitStream reported %d", len(got), n)
 	}
 	total := 0
 	for i, l := range got {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/markov"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/trace"
 )
@@ -73,51 +72,50 @@ func Workers(n int) Option {
 }
 
 // Context attaches a context to Build for observability: the build's
-// tracing spans (partition.split, profile.fit) nest below the span
-// carried by ctx (see internal/obs). The fitted profile is identical
-// with or without it.
+// tracing spans (profile.build_stream, partition.stream) nest below
+// the span carried by ctx (see internal/obs). The fitted profile is
+// identical with or without it. Canceling ctx stops the build.
 func Context(ctx context.Context) Option {
 	return func(o *buildOptions) { o.ctx = ctx }
 }
 
 // Build constructs a profile from a trace using the given hierarchical
-// configuration. The trace must be in injection (time) order.
-//
-// Leaves are fitted in parallel (see Workers) and committed by index, so
-// Leaves ordering — and therefore the encoded profile — is byte-identical
-// to a serial build.
+// configuration: BuildStream over the materialised trace. The trace
+// must be in injection (time) order; an unsorted trace is rejected with
+// an error wrapping partition.ErrOutOfOrder.
 func Build(name string, t trace.Trace, cfg partition.Config, opts ...Option) (*Profile, error) {
+	return BuildStream(name, trace.NewSliceReader(t), cfg, opts...)
+}
+
+// BuildStream constructs a profile from an incremental trace reader.
+// Temporal windows are fitted as they close and their trace memory is
+// released behind the fit frontier, so peak heap is O(open window +
+// queued leaves + fitted models) rather than O(trace). Hierarchies
+// whose first layer is spatial fall back to materialising internally
+// (see partition.FitStream); the result is identical either way.
+//
+// Leaves are fitted in parallel (see Workers) and committed in
+// partition order, so the encoded profile is byte-identical for every
+// worker count. The stream must be sorted by time; violations surface
+// as an error wrapping partition.ErrOutOfOrder.
+func BuildStream(name string, rd trace.Reader, cfg partition.Config, opts ...Option) (*Profile, error) {
 	var o buildOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ctx, bsp := obs.Start(o.ctx, "profile.build")
-	leaves, err := partition.SplitCtx(ctx, t, cfg)
+	ctx, bsp := obs.Start(o.ctx, "profile.build_stream")
+	defer bsp.End()
+	leaves, records, err := partition.FitStream(ctx, rd, cfg, o.workers, fitLeaf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("profile: build: %w", err)
 	}
-	p := &Profile{Name: name, Config: cfg.String()}
-	_, fsp := obs.Start(ctx, "profile.fit")
-	// Fitting honours the caller's context so a canceled request (a
-	// server-side fit whose client disconnected, a timed-out upload)
-	// stops dispatching leaves instead of fitting the whole hierarchy
-	// for a result nobody will read.
-	p.Leaves = make([]Leaf, len(leaves))
-	if err := par.ForEachCtx(ctx, len(leaves), o.workers, func(i int) {
-		p.Leaves[i] = fitLeaf(leaves[i])
-	}); err != nil {
-		fsp.End()
-		return nil, fmt.Errorf("profile: fit canceled: %w", err)
-	}
-	fsp.SetCount("leaves", int64(len(leaves)))
-	fsp.End()
+	p := &Profile{Name: name, Config: cfg.String(), Leaves: leaves}
 	s := p.Stats()
 	mLeavesFitted.Add(uint64(s.Leaves))
 	mModelsMarkov.Add(uint64(s.Chains))
 	mModelsConstant.Add(uint64(s.Constants))
-	bsp.SetCount("requests", int64(len(t)))
+	bsp.SetCount("requests", int64(records))
 	bsp.SetCount("leaves", int64(len(leaves)))
-	bsp.End()
 	return p, nil
 }
 

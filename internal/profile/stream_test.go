@@ -86,15 +86,20 @@ func TestBuildStreamCancel(t *testing.T) {
 	}
 }
 
-// TestBuildStreamOutOfOrder: an unsorted stream is rejected with
-// partition.ErrOutOfOrder in the error chain.
+// TestBuildStreamOutOfOrder: an unsorted trace is rejected with
+// partition.ErrOutOfOrder in the error chain, streamed or materialised.
 func TestBuildStreamOutOfOrder(t *testing.T) {
 	tr := trace.Trace{
 		req(10, 0x1000, 64, trace.Read),
 		req(5, 0x1040, 64, trace.Write),
 	}
-	_, err := BuildStream("bad", trace.NewSliceReader(tr), partition.TwoLevelTS(1000))
-	if !errors.Is(err, partition.ErrOutOfOrder) {
-		t.Fatalf("err = %v, want ErrOutOfOrder", err)
+	cfg := partition.TwoLevelTS(1000)
+	for name, build := range map[string]func() (*Profile, error){
+		"BuildStream": func() (*Profile, error) { return BuildStream("bad", trace.NewSliceReader(tr), cfg) },
+		"Build":       func() (*Profile, error) { return Build("bad", tr, cfg) },
+	} {
+		if _, err := build(); !errors.Is(err, partition.ErrOutOfOrder) {
+			t.Fatalf("%s: err = %v, want ErrOutOfOrder", name, err)
+		}
 	}
 }

@@ -51,8 +51,7 @@ func Context(ctx context.Context) Option { return func(c *config) { c.ctx = ctx 
 // and any parallel synthesis workers; a Stream must be closed even when
 // drained.
 type Stream struct {
-	m      *synth.Merger
-	devIdx []int // merger generator index -> spec device index
+	m      *trace.Merger
 	total  uint64
 	closed bool
 	mu     sync.Mutex
@@ -72,13 +71,7 @@ func (s *Stream) Next() (trace.Request, bool) {
 
 // NextDev returns the globally next request and the index (into the
 // spec's Devices) of the device that produced it.
-func (s *Stream) NextDev() (trace.Request, int, bool) {
-	r, gi, ok := s.m.NextIndexed()
-	if !ok {
-		return trace.Request{}, -1, false
-	}
-	return r, s.devIdx[gi], true
-}
+func (s *Stream) NextDev() (trace.Request, int, bool) { return s.m.NextIndexed() }
 
 // Delay adds backpressure delay to all not-yet-emitted requests.
 func (s *Stream) Delay(cycles uint64) { s.m.Delay(cycles) }
@@ -98,68 +91,41 @@ func (s *Stream) Close() {
 	s.closes = nil
 }
 
-// deviceGen adapts one device's synthesizer to synth.Gen, applying the
-// device transforms — request cap, time dilation, window remap — before
-// the merge sees the request. Dilation scales the offset from the
-// device's first timestamp (t' = t0 + (t-t0)·f) and is monotone for any
-// valid factor, so each device's stream stays sorted and the merge's
-// total order is preserved.
-type deviceGen struct {
+// device applies one device's transforms — request cap, time
+// dilation, window remap — to its synthesized stream before the merge
+// sees the request. Dilation scales the offset from the device's first
+// timestamp (t' = t0 + (t-t0)·f) and is monotone for any valid factor,
+// so each device's stream stays sorted and the merge's total order is
+// preserved.
+type device struct {
 	src       *synth.Synthesizer
-	pending   trace.Request
-	remaining uint64 // requests still to emit, including pending
+	remaining uint64 // requests still to emit
 	window    *Window
 	dilation  float64
-	dilate    bool
+	started   bool
 	t0        uint64
 }
 
-// init pulls the first request and prepares the transform state. It
-// returns false when the device emits nothing.
-func (g *deviceGen) init(d *Device, src *synth.Synthesizer, count uint64) bool {
-	if count == 0 {
-		return false
-	}
-	r, ok := src.Next()
-	if !ok {
-		return false
-	}
-	g.src = src
-	g.remaining = count
-	g.window = d.Window
-	g.dilation = d.dilation()
-	g.dilate = g.dilation != 1
-	g.t0 = r.Time
-	g.pending = g.transform(r)
-	return true
-}
-
-func (g *deviceGen) transform(r trace.Request) trace.Request {
-	if g.dilate {
-		r.Time = g.t0 + uint64(float64(r.Time-g.t0)*g.dilation)
-	}
-	r.Addr = g.window.Remap(r.Addr)
-	return r
-}
-
-// Pending returns the transformed generated-but-unemitted request.
-func (g *deviceGen) Pending() trace.Request { return g.pending }
-
-// Advance moves to the device's next request, returning false when the
+// Next returns the device's next transformed request, or false when the
 // cap or the profile is exhausted.
-func (g *deviceGen) Advance() bool {
-	if g.remaining <= 1 {
-		g.remaining = 0
-		return false
+func (d *device) Next() (trace.Request, bool) {
+	if d.remaining == 0 {
+		return trace.Request{}, false
 	}
-	r, ok := g.src.Next()
+	r, ok := d.src.Next()
 	if !ok {
-		g.remaining = 0
-		return false
+		d.remaining = 0
+		return trace.Request{}, false
 	}
-	g.remaining--
-	g.pending = g.transform(r)
-	return true
+	d.remaining--
+	if !d.started {
+		d.started, d.t0 = true, r.Time
+	}
+	if d.dilation != 1 {
+		r.Time = d.t0 + uint64(float64(r.Time-d.t0)*d.dilation)
+	}
+	r.Addr = d.window.Remap(r.Addr)
+	return r, true
 }
 
 // Compose opens every device's profile through the resolver,
@@ -218,17 +184,18 @@ func Compose(spec *Spec, resolve Resolver, opts ...Option) (*Stream, error) {
 		st.closes = append(st.closes, s.Close)
 	}
 
-	gens := make([]synth.Gen, 0, len(spec.Devices))
+	// One merge source per device in spec order, so the merge's source
+	// index is the device index; a device that emits nothing stays nil.
+	devs := make([]trace.Puller, len(spec.Devices))
 	for i := range spec.Devices {
-		g := &deviceGen{}
-		if !g.init(&spec.Devices[i], srcs[i], counts[i]) {
+		if counts[i] == 0 {
 			continue
 		}
-		gens = append(gens, g)
-		st.devIdx = append(st.devIdx, i)
+		d := &spec.Devices[i]
+		devs[i] = &device{src: srcs[i], remaining: counts[i], window: d.Window, dilation: d.dilation()}
 		st.total += counts[i]
 	}
-	st.m = synth.NewMerger(gens)
+	st.m = trace.Merge(devs...)
 
 	mComposed.Inc()
 	mDevices.Add(uint64(len(spec.Devices)))

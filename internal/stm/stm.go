@@ -15,10 +15,10 @@ package stm
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/markov"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -82,30 +82,31 @@ func Context(ctx context.Context) Option {
 }
 
 // Build fits an STM profile using the same partitioning hierarchy as
-// Mocktails. Leaves are fitted in parallel and committed by index, so the
-// profile is identical to a serial build.
+// Mocktails: BuildStream over the materialised trace.
 func Build(name string, t trace.Trace, cfg partition.Config, opts ...Option) (*Profile, error) {
+	return BuildStream(name, trace.NewSliceReader(t), cfg, opts...)
+}
+
+// BuildStream fits an STM profile from an incremental trace reader in
+// O(frontier) peak heap, exactly as profile.BuildStream does. Leaves
+// are fitted in parallel and committed in partition order, so the
+// profile is identical to a serial build. Unsorted streams are rejected
+// with an error wrapping partition.ErrOutOfOrder.
+func BuildStream(name string, rd trace.Reader, cfg partition.Config, opts ...Option) (*Profile, error) {
 	var o buildOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ctx, bsp := obs.Start(o.ctx, "stm.build")
-	leaves, err := partition.SplitCtx(ctx, t, cfg)
+	ctx, bsp := obs.Start(o.ctx, "stm.build_stream")
+	defer bsp.End()
+	leaves, records, err := partition.FitStream(ctx, rd, cfg, o.workers, fitLeaf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stm: build: %w", err)
 	}
-	p := &Profile{Name: name}
-	_, fsp := obs.Start(ctx, "stm.fit")
-	p.Leaves = par.Map(len(leaves), o.workers, func(i int) Leaf {
-		return fitLeaf(leaves[i])
-	})
-	fsp.SetCount("leaves", int64(len(leaves)))
-	fsp.End()
 	mLeavesFitted.Add(uint64(len(leaves)))
-	bsp.SetCount("requests", int64(len(t)))
+	bsp.SetCount("requests", int64(records))
 	bsp.SetCount("leaves", int64(len(leaves)))
-	bsp.End()
-	return p, nil
+	return &Profile{Name: name, Leaves: leaves}, nil
 }
 
 func fitLeaf(l partition.Leaf) Leaf {
@@ -154,13 +155,13 @@ func fitLeaf(l partition.Leaf) Leaf {
 // Mocktails so the comparison isolates the leaf models.
 func Synthesize(p *Profile, seed uint64) trace.Source {
 	rng := stats.NewRNG(seed)
-	gens := make([]synth.Gen, 0, len(p.Leaves))
+	gens := make([]trace.Puller, 0, len(p.Leaves))
 	for i := range p.Leaves {
 		if g := newLeafGen(&p.Leaves[i], rng.Fork()); g != nil {
 			gens = append(gens, g)
 		}
 	}
-	return synth.NewMerger(gens)
+	return trace.Merge(gens...)
 }
 
 // leafGen generates one partition's requests from the STM models.
@@ -173,14 +174,14 @@ type leafGen struct {
 	reads   uint32
 	writes  uint32
 	emitted uint32
-	pending trace.Request
+	last    trace.Request
 }
 
 func newLeafGen(l *Leaf, rng *stats.RNG) *leafGen {
 	if l.Count == 0 {
 		return nil
 	}
-	g := &leafGen{
+	return &leafGen{
 		leaf:   l,
 		dt:     markov.NewGenerator(&l.DeltaTime, rng.Fork()),
 		size:   markov.NewGenerator(&l.Size, rng.Fork()),
@@ -189,14 +190,6 @@ func newLeafGen(l *Leaf, rng *stats.RNG) *leafGen {
 		reads:  l.Reads,
 		writes: l.Writes,
 	}
-	g.pending = trace.Request{
-		Time: l.StartTime,
-		Addr: l.StartAddr,
-		Op:   g.nextOp(),
-		Size: synth.SizeFromValue(g.size.Next()),
-	}
-	g.emitted = 1
-	return g
 }
 
 // nextOp draws read/write from the single-probability model under strict
@@ -214,24 +207,31 @@ func (g *leafGen) nextOp() trace.Op {
 	return trace.Write
 }
 
-// Pending returns the generated-but-unemitted request.
-func (g *leafGen) Pending() trace.Request { return g.pending }
-
-// Advance generates the next request of the partition.
-func (g *leafGen) Advance() bool {
+// Next generates the partition's next request; it returns false once
+// the leaf has produced all Count requests.
+func (g *leafGen) Next() (trace.Request, bool) {
 	if g.emitted >= g.leaf.Count {
-		return false
+		return trace.Request{}, false
+	}
+	if g.emitted == 0 {
+		g.last = trace.Request{
+			Time: g.leaf.StartTime,
+			Addr: g.leaf.StartAddr,
+			Op:   g.nextOp(),
+			Size: synth.SizeFromValue(g.size.Next()),
+		}
+	} else {
+		dt := g.dt.Next()
+		if dt < 0 {
+			dt = 0
+		}
+		g.last = trace.Request{
+			Time: g.last.Time + uint64(dt),
+			Addr: g.addr.next(),
+			Op:   g.nextOp(),
+			Size: synth.SizeFromValue(g.size.Next()),
+		}
 	}
 	g.emitted++
-	dt := g.dt.Next()
-	if dt < 0 {
-		dt = 0
-	}
-	g.pending = trace.Request{
-		Time: g.pending.Time + uint64(dt),
-		Addr: g.addr.next(),
-		Op:   g.nextOp(),
-		Size: synth.SizeFromValue(g.size.Next()),
-	}
-	return true
+	return g.last, true
 }

@@ -47,14 +47,14 @@ type refillJob struct {
 	slab int
 }
 
-// batchMerger merges per-leaf chunk streams with a loser tree. With
+// batchMerger merges per-leaf chunk streams with trace.LoserTree. With
 // workers > 1 the next chunk of every stream is pre-generated
 // concurrently with the merge; every leaf draws from its own forked RNG
 // and chunks are committed in a fixed per-stream order, so the emitted
 // stream is bit-identical to the serial one.
 type batchMerger struct {
 	streams []*leafStream
-	lt      *loserTree
+	lt      *trace.LoserTree
 	shift   uint64
 	batch   int
 	live    int
@@ -118,7 +118,7 @@ func newBatchMerger(streams []*leafStream, cfg config) *batchMerger {
 			pending++
 		}
 	}
-	m.lt = newLoserTree(times, done)
+	m.lt = trace.NewLoserTree(times, done)
 
 	if cfg.workers > 1 && pending > 0 {
 		m.jobs = make(chan refillJob, len(streams))
@@ -175,8 +175,8 @@ func (m *batchMerger) commitChunk(s *leafStream, chunk []trace.Request) {
 
 // Next returns the globally next request.
 func (m *batchMerger) Next() (trace.Request, bool) {
-	w := m.lt.winner
-	if w < 0 || m.lt.done[w] {
+	w := m.lt.Winner()
+	if w < 0 {
 		return trace.Request{}, false
 	}
 	s := m.streams[w]
@@ -185,17 +185,16 @@ func (m *batchMerger) Next() (trace.Request, bool) {
 	s.pos++
 	m.pops++
 	if s.pos < len(s.cur) {
-		m.lt.times[w] = s.cur[s.pos].Time
+		m.lt.Replace(s.cur[s.pos].Time)
 	} else if m.refill(s) {
-		m.lt.times[w] = s.cur[0].Time
+		m.lt.Replace(s.cur[0].Time)
 	} else {
-		m.lt.eliminate(w)
+		m.lt.Remove()
 		m.live--
 		if m.live == 0 {
 			m.close()
 		}
 	}
-	m.lt.replay(w)
 	return req, true
 }
 

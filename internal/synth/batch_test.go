@@ -23,7 +23,7 @@ type heapMerger struct {
 }
 
 type refEntry struct {
-	g     Gen
+	g     *leafGen
 	order int
 }
 
@@ -47,7 +47,7 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-func newHeapMerger(gens []Gen) *heapMerger {
+func newHeapMerger(gens []*leafGen) *heapMerger {
 	m := &heapMerger{}
 	m.pq = make(refHeap, 0, len(gens))
 	for i, g := range gens {
@@ -80,7 +80,7 @@ func (m *heapMerger) Delay(cycles uint64) { m.shift += cycles }
 // merged through the reference heap.
 func refSynth(p *profile.Profile, seed uint64) trace.Source {
 	rng := stats.NewRNG(seed)
-	gens := make([]Gen, 0, len(p.Leaves))
+	gens := make([]*leafGen, 0, len(p.Leaves))
 	for i := range p.Leaves {
 		if g := newLeafGen(&p.Leaves[i], rng.Uint64()); g != nil {
 			gens = append(gens, g)

@@ -214,62 +214,6 @@ func TestSizeFromValue(t *testing.T) {
 	}
 }
 
-func TestMergerEmpty(t *testing.T) {
-	m := NewMerger(nil)
-	if _, ok := m.Next(); ok {
-		t.Error("empty merger produced a request")
-	}
-	m2 := NewMerger([]Gen{nil, nil})
-	if _, ok := m2.Next(); ok {
-		t.Error("all-nil merger produced a request")
-	}
-}
-
-// fakeGen emits a fixed schedule for Merger unit tests.
-type fakeGen struct {
-	reqs []trace.Request
-	i    int
-}
-
-func (g *fakeGen) Pending() trace.Request { return g.reqs[g.i] }
-func (g *fakeGen) Advance() bool {
-	g.i++
-	return g.i < len(g.reqs)
-}
-
-func TestMergerTotalOrder(t *testing.T) {
-	a := &fakeGen{reqs: []trace.Request{req(1, 0xa, 4, trace.Read), req(4, 0xa, 4, trace.Read)}}
-	b := &fakeGen{reqs: []trace.Request{req(2, 0xb, 4, trace.Read), req(3, 0xb, 4, trace.Read)}}
-	m := NewMerger([]Gen{a, b})
-	var times []uint64
-	for {
-		r, ok := m.Next()
-		if !ok {
-			break
-		}
-		times = append(times, r.Time)
-	}
-	want := []uint64{1, 2, 3, 4}
-	if len(times) != 4 {
-		t.Fatalf("got %d requests", len(times))
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Errorf("times[%d] = %d, want %d", i, times[i], want[i])
-		}
-	}
-}
-
-func TestMergerTieBreakDeterministic(t *testing.T) {
-	a := &fakeGen{reqs: []trace.Request{req(5, 0xa, 4, trace.Read)}}
-	b := &fakeGen{reqs: []trace.Request{req(5, 0xb, 4, trace.Read)}}
-	m := NewMerger([]Gen{a, b})
-	first, _ := m.Next()
-	if first.Addr != 0xa {
-		t.Errorf("tie broken against insertion order: got 0x%x first", first.Addr)
-	}
-}
-
 func TestSynthesisProperty(t *testing.T) {
 	// Property: for any random workload and either hierarchy family,
 	// synthesis preserves request count, read/write counts, and the

@@ -24,25 +24,7 @@ const (
 // WriteBinary writes the trace in the repository's binary record format
 // and returns the number of bytes written to w.
 func WriteBinary(w io.Writer, t Trace) (int64, error) {
-	return WriteBinaryCtx(nil, w, t)
-}
-
-// WriteBinaryCtx is WriteBinary with cooperative cancellation: the write
-// loop checks ctx every cancelCheckEvery records, so a consumer that has
-// gone away (a disconnected HTTP client, a canceled request) aborts a
-// long encode promptly instead of running to completion. A nil ctx never
-// cancels. The returned count is the bytes that reached w, so callers
-// can meter egress even on a partial write.
-func WriteBinaryCtx(ctx context.Context, w io.Writer, t Trace) (int64, error) {
-	i := 0
-	return WriteBinaryStream(ctx, w, uint64(len(t)), func() (Request, bool) {
-		if i >= len(t) {
-			return Request{}, false
-		}
-		r := t[i]
-		i++
-		return r, true
-	})
+	return WriteBinaryStream(context.Background(), w, uint64(len(t)), NewReplayer(t).Next)
 }
 
 // ReadBinary reads a trace written by WriteBinary. It is a collect loop
@@ -107,22 +89,7 @@ func ReadGzip(r io.Reader) (Trace, error) {
 // The format is intended for interchange with external tools and for
 // human inspection.
 func WriteCSV(w io.Writer, t Trace) (int64, error) {
-	return WriteCSVCtx(nil, w, t)
-}
-
-// WriteCSVCtx is WriteCSV with cooperative cancellation, mirroring
-// WriteBinaryCtx: the loop checks ctx every cancelCheckEvery lines and
-// the returned count is the bytes that reached w.
-func WriteCSVCtx(ctx context.Context, w io.Writer, t Trace) (int64, error) {
-	i := 0
-	return WriteCSVStream(ctx, w, func() (Request, bool) {
-		if i >= len(t) {
-			return Request{}, false
-		}
-		r := t[i]
-		i++
-		return r, true
-	})
+	return WriteCSVStream(context.Background(), w, NewReplayer(t).Next)
 }
 
 // ReadCSV reads a trace written by WriteCSV. Blank lines are ignored and a

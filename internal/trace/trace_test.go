@@ -200,15 +200,20 @@ func TestMergeDelayAppliesOnce(t *testing.T) {
 }
 
 func TestMergeEmptyAndNil(t *testing.T) {
-	m := Merge(nil, NewReplayer(nil))
-	if _, ok := m.Next(); ok {
-		t.Error("empty merge produced a request")
+	for name, m := range map[string]*Merger{
+		"no sources":  Merge(),
+		"all nil":     Merge(nil, nil),
+		"nil + empty": Merge(nil, NewReplayer(nil)),
+	} {
+		if _, ok := m.Next(); ok {
+			t.Errorf("%s: empty merge produced a request", name)
+		}
 	}
 }
 
 func TestMergePreservesAllRequests(t *testing.T) {
 	check := func(lens [3]uint8) bool {
-		var srcs []Source
+		var srcs []Puller
 		total := 0
 		for si, n := range lens {
 			var tr Trace
