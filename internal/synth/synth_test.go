@@ -214,6 +214,62 @@ func TestSizeFromValue(t *testing.T) {
 	}
 }
 
+// scheduleMerger builds a serial batch merger over fixed per-leaf
+// schedules, each held as one eager chunk.
+func scheduleMerger(schedules ...[]trace.Request) *batchMerger {
+	streams := make([]*leafStream, len(schedules))
+	for i, reqs := range schedules {
+		streams[i] = &leafStream{cur: reqs, eof: true}
+	}
+	return newBatchMerger(streams, config{workers: 1, batch: DefaultBatch})
+}
+
+func TestMergerEmpty(t *testing.T) {
+	m := scheduleMerger()
+	if _, ok := m.Next(); ok {
+		t.Error("empty merger produced a request")
+	}
+	m2 := scheduleMerger(nil, nil)
+	if _, ok := m2.Next(); ok {
+		t.Error("all-empty merger produced a request")
+	}
+}
+
+func TestMergerTotalOrder(t *testing.T) {
+	m := scheduleMerger(
+		[]trace.Request{req(1, 0xa, 4, trace.Read), req(4, 0xa, 4, trace.Read)},
+		[]trace.Request{req(2, 0xb, 4, trace.Read), req(3, 0xb, 4, trace.Read)},
+	)
+	var times []uint64
+	for {
+		r, ok := m.Next()
+		if !ok {
+			break
+		}
+		times = append(times, r.Time)
+	}
+	want := []uint64{1, 2, 3, 4}
+	if len(times) != 4 {
+		t.Fatalf("got %d requests", len(times))
+	}
+	for i := range want {
+		if times[i] != want[i] {
+			t.Errorf("times[%d] = %d, want %d", i, times[i], want[i])
+		}
+	}
+}
+
+func TestMergerTieBreakDeterministic(t *testing.T) {
+	m := scheduleMerger(
+		[]trace.Request{req(5, 0xa, 4, trace.Read)},
+		[]trace.Request{req(5, 0xb, 4, trace.Read)},
+	)
+	first, _ := m.Next()
+	if first.Addr != 0xa {
+		t.Errorf("tie broken against insertion order: got 0x%x first", first.Addr)
+	}
+}
+
 func TestSynthesisProperty(t *testing.T) {
 	// Property: for any random workload and either hierarchy family,
 	// synthesis preserves request count, read/write counts, and the
