@@ -9,6 +9,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -71,21 +72,22 @@ func TestInstrumentationDoesNotPerturbOutput(t *testing.T) {
 
 	// Instrumented run: verbose mode on (logger swapped to io.Discard so
 	// the test output stays clean — Verbose() still reports true, which
-	// is what the pipeline's debug paths check), spans nested under a
-	// root, every stage recording into the Default registry — and the
-	// whole pipeline inside a sampled request trace with timed child
-	// spans and a ring Put, exactly as mocktailsd's middleware runs it.
+	// is what the pipeline's debug paths check), every stage recording
+	// into the Default registry. The profile is built under a root span
+	// as the CLI runs it; synthesis runs inside a sampled request span
+	// with a timed child span and a ring Put, exactly as mocktailsd's
+	// middleware runs it.
 	obs.SetVerbose(true)
 	obs.SetLogger(slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug})))
 	defer obs.SetVerbose(false)
 	ctx, root := obs.Start(context.Background(), "determinism_test")
 	parent := obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Flags: obs.FlagSampled}
-	ctx, rt := obs.StartRequest(ctx, "determinism_test.request", parent)
-	endSpan := rt.StartSpan("synth.stream")
+	rctx, rt := obs.StartRequest(ctx, "determinism_test.request", parent)
+	sctx, stream := obs.Start(rctx, "synth.stream")
 	profOn, synthOn := runPipeline(t, tr,
 		[]core.BuildOption{core.BuildContext(ctx)},
-		[]core.SynthOption{core.SynthContext(ctx)})
-	endSpan()
+		[]core.SynthOption{core.SynthContext(sctx)})
+	stream.End()
 	ring := obs.NewTraceRing(8)
 	ring.Put(rt.Finish(200, int64(len(synthOn))))
 	root.End()
@@ -101,5 +103,7 @@ func TestInstrumentationDoesNotPerturbOutput(t *testing.T) {
 	}
 	if got := ring.Recent(1); len(got) != 1 || got[0].TraceID != parent.TraceID.String() {
 		t.Error("request trace did not land in the ring with the adopted trace ID")
+	} else if !slices.ContainsFunc(got[0].Spans, func(sp obs.TraceSpan) bool { return sp.Name == "synth.init" }) {
+		t.Errorf("request trace spans = %v, want the inner synth.init stage", got[0].Spans)
 	}
 }

@@ -16,6 +16,10 @@ import (
 // into the stage's ns-latency histogram ("stage.<name>.ns") and wall
 // gauge ("stage.<name>.wall_ns") in the Default registry.
 //
+// A request span (StartRequest) is the root of its own tree and carries
+// the request's trace identity; spans started under it inherit the
+// trace ID, and Finish flattens the tree into the request's trace.
+//
 // Spans are observation-only: nothing in the pipeline reads them, so
 // they never perturb profile or synthesis output. All methods are safe
 // on a nil *Span and safe for concurrent children (parallel stages
@@ -23,6 +27,15 @@ import (
 type Span struct {
 	name  string
 	start time.Time
+
+	// Trace identity: set by StartRequest, inherited by descendants
+	// (traceID, flags). Zero outside a request.
+	traceID       TraceID
+	spanID        SpanID
+	parent        SpanID
+	flags         byte
+	method, route string
+	peer          bool
 
 	mu       sync.Mutex
 	wall     time.Duration
@@ -42,13 +55,15 @@ type SpanCount struct {
 type spanKey struct{}
 
 // Start begins a span named name, child of the span carried by ctx (if
-// any), and returns a derived context carrying the new span.
+// any, inheriting its trace), and returns a derived context carrying
+// the new span.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	sp := &Span{name: name, start: time.Now()}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
+		sp.traceID, sp.flags = parent.traceID, parent.flags
 		parent.mu.Lock()
 		parent.children = append(parent.children, sp)
 		parent.mu.Unlock()

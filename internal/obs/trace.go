@@ -1,21 +1,23 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 )
 
 // This file is the distributed-tracing core: 128-bit trace IDs and
-// 64-bit span IDs, the W3C traceparent wire encoding, a per-request
-// span tree (ReqTrace) cheap enough for the serve hot path, and a
-// bounded lock-free ring buffer of recently completed request traces
-// (TraceRing) behind mocktailsd's GET /debug/requests.
+// 64-bit span IDs, the W3C traceparent wire encoding, request spans
+// (StartRequest: a Span that roots one request's tree and carries its
+// trace identity), and a bounded lock-free ring buffer of recently
+// completed request traces (TraceRing) behind mocktailsd's
+// GET /debug/requests.
 //
 // Like the rest of the package, tracing is strictly write-only from
 // the pipeline's point of view: trace IDs and spans never feed back
@@ -184,9 +186,10 @@ func hexByte(s string, out *byte) bool {
 	return true
 }
 
-// TraceSpan is one timed child operation inside a request trace
-// (limiter wait, store acquire, peer fetch, synth stream, ...). Times
-// are offsets from the request's start so a trace is self-contained.
+// TraceSpan is one timed operation inside a request trace (limiter
+// wait, store acquire, peer fetch, synth init, synth stream, ...): a
+// descendant of the request span at any depth. Times are offsets from
+// the request's start so a trace is self-contained.
 type TraceSpan struct {
 	Name    string `json:"name"`
 	StartNs int64  `json:"start_ns"`
@@ -194,8 +197,8 @@ type TraceSpan struct {
 }
 
 // RequestTrace is one completed request's immutable record: identity,
-// HTTP outcome, and the timed child spans. It is what TraceRing stores
-// and GET /debug/requests serves.
+// HTTP outcome, and the timed spans in start order. It is what
+// TraceRing stores and GET /debug/requests serves.
 type RequestTrace struct {
 	TraceID string      `json:"trace_id"`
 	SpanID  string      `json:"span_id"`
@@ -211,149 +214,104 @@ type RequestTrace struct {
 	Spans   []TraceSpan `json:"spans,omitempty"`
 }
 
-// ReqTrace is one in-flight request's trace. It is carried through the
-// request context (StartRequest / RequestFromContext); handlers attach
-// timed child spans with StartSpan and the middleware seals it with
-// Finish. All methods are safe on a nil *ReqTrace — code paths that
-// also run without a request (the offline CLI) can instrument
-// unconditionally — and safe for concurrent spans.
-type ReqTrace struct {
-	traceID TraceID
-	spanID  SpanID
-	parent  SpanID
-	flags   byte
-	name    string
-	start   time.Time
-
-	method string
-	route  string
-	peer   bool
-
-	mu    sync.Mutex
-	spans []TraceSpan
-}
-
-// reqKey carries the active request trace through a context.
-type reqKey struct{}
-
-// StartRequest opens a request trace named name as a child of parent:
+// StartRequest opens a request span named name as a child of parent:
 // a valid parent trace ID is adopted (the request joins the caller's
 // trace) and its span ID recorded as the parent span; a zero parent
-// starts a fresh trace. The returned context carries the trace for
-// RequestFromContext.
-func StartRequest(ctx context.Context, name string, parent SpanContext) (context.Context, *ReqTrace) {
+// starts a fresh trace. The request span never attaches to a span
+// already carried by ctx — each request is the root of its own tree,
+// so a long-lived server span does not accumulate every request ever
+// served. Spans started under the returned context carry the trace ID.
+func StartRequest(ctx context.Context, name string, parent SpanContext) (context.Context, *Span) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t := &ReqTrace{
+	s := &Span{
+		name:    name,
+		start:   time.Now(),
 		traceID: parent.TraceID,
 		spanID:  NewSpanID(),
 		parent:  parent.SpanID,
 		flags:   parent.Flags | FlagSampled,
-		name:    name,
-		start:   time.Now(),
 	}
-	if t.traceID.IsZero() {
-		t.traceID = NewTraceID()
+	if s.traceID.IsZero() {
+		s.traceID = NewTraceID()
 	}
-	return context.WithValue(ctx, reqKey{}, t), t
+	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// RequestFromContext returns the request trace carried by ctx, or nil.
-func RequestFromContext(ctx context.Context) *ReqTrace {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(reqKey{}).(*ReqTrace)
-	return t
-}
-
-// TraceID returns the trace identifier (zero for a nil trace).
-func (t *ReqTrace) TraceID() TraceID {
-	if t == nil {
+// TraceID returns the span's trace identifier (zero outside a request).
+func (s *Span) TraceID() TraceID {
+	if s == nil {
 		return TraceID{}
 	}
-	return t.traceID
-}
-
-// Context returns the trace's own span context — what this request
-// would report as itself.
-func (t *ReqTrace) Context() SpanContext {
-	if t == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: t.traceID, SpanID: t.spanID, Flags: t.flags}
+	return s.traceID
 }
 
 // ChildContext mints a span context for one outbound call: same trace,
 // fresh span ID. Its Traceparent() is what goes on the wire, so the
 // remote hop records this request's trace ID and a parent span that is
-// unique per outbound call.
-func (t *ReqTrace) ChildContext() SpanContext {
-	if t == nil {
+// unique per outbound call. Outside a request it is invalid.
+func (s *Span) ChildContext() SpanContext {
+	if s == nil || s.traceID.IsZero() {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: t.traceID, SpanID: NewSpanID(), Flags: t.flags}
+	return SpanContext{TraceID: s.traceID, SpanID: NewSpanID(), Flags: s.flags}
 }
 
 // SetHTTP attaches the request's HTTP identity: method, route (URL
 // path), and whether the caller is a cluster peer.
-func (t *ReqTrace) SetHTTP(method, route string, peer bool) {
-	if t == nil {
+func (s *Span) SetHTTP(method, route string, peer bool) {
+	if s == nil {
 		return
 	}
-	t.method, t.route, t.peer = method, route, peer
+	s.method, s.route, s.peer = method, route, peer
 }
 
-// noopEnd is the shared end function of spans on a nil trace.
-var noopEnd = func() {}
-
-// StartSpan begins a timed child span and returns its end function.
-// The span is recorded when the end function runs; an end function
-// that never runs records nothing.
-func (t *ReqTrace) StartSpan(name string) func() {
-	if t == nil {
-		return noopEnd
-	}
-	start := time.Now()
-	return func() {
-		sp := TraceSpan{
-			Name:    name,
-			StartNs: start.Sub(t.start).Nanoseconds(),
-			DurNs:   time.Since(start).Nanoseconds(),
-		}
-		t.mu.Lock()
-		t.spans = append(t.spans, sp)
-		t.mu.Unlock()
-	}
-}
-
-// Finish seals the trace with the request's outcome and returns the
-// immutable completed record. A nil trace returns nil.
-func (t *ReqTrace) Finish(status int, bytes int64) *RequestTrace {
-	if t == nil {
+// Finish ends the span with the request's outcome and returns the
+// immutable completed record: every ended descendant flattened to a
+// TraceSpan in start order, offsets relative to this span's start. A
+// span that never ended records nothing. A nil span returns nil.
+func (s *Span) Finish(status int, bytes int64) *RequestTrace {
+	if s == nil {
 		return nil
 	}
-	t.mu.Lock()
-	spans := append([]TraceSpan(nil), t.spans...)
-	t.mu.Unlock()
+	s.End()
+	spans := s.appendEnded(nil, s.start)
+	slices.SortStableFunc(spans, func(a, b TraceSpan) int { return cmp.Compare(a.StartNs, b.StartNs) })
 	rt := &RequestTrace{
-		TraceID: t.traceID.String(),
-		SpanID:  t.spanID.String(),
-		Name:    t.name,
-		Method:  t.method,
-		Route:   t.route,
-		Peer:    t.peer,
+		TraceID: s.traceID.String(),
+		SpanID:  s.spanID.String(),
+		Name:    s.name,
+		Method:  s.method,
+		Route:   s.route,
+		Peer:    s.peer,
 		Status:  status,
 		Bytes:   bytes,
-		Start:   t.start,
-		DurNs:   time.Since(t.start).Nanoseconds(),
+		Start:   s.start,
+		DurNs:   s.Wall().Nanoseconds(),
 		Spans:   spans,
 	}
-	if !t.parent.IsZero() {
-		rt.Parent = t.parent.String()
+	if !s.parent.IsZero() {
+		rt.Parent = s.parent.String()
 	}
 	return rt
+}
+
+// appendEnded appends s's ended descendants in depth-first order.
+func (s *Span) appendEnded(out []TraceSpan, root time.Time) []TraceSpan {
+	s.mu.Lock()
+	children := s.children // append-only: the prefix is stable
+	s.mu.Unlock()
+	for _, c := range children {
+		c.mu.Lock()
+		ended, wall := c.ended, c.wall
+		c.mu.Unlock()
+		if ended {
+			out = append(out, TraceSpan{Name: c.name, StartNs: c.start.Sub(root).Nanoseconds(), DurNs: wall.Nanoseconds()})
+		}
+		out = c.appendEnded(out, root)
+	}
+	return out
 }
 
 // TraceRing is a bounded lock-free ring buffer of completed request

@@ -96,13 +96,14 @@ func TestStartRequestAdoptsParent(t *testing.T) {
 	if rt.TraceID() != parent.TraceID {
 		t.Fatalf("trace ID not adopted: got %s, want %s", rt.TraceID(), parent.TraceID)
 	}
-	if RequestFromContext(ctx) != rt {
-		t.Fatal("RequestFromContext did not return the started trace")
+	if SpanFromContext(ctx) != rt {
+		t.Fatal("SpanFromContext did not return the started request span")
 	}
-	if cc := rt.ChildContext(); cc.TraceID != parent.TraceID || cc.SpanID == rt.Context().SpanID {
+	cc := rt.ChildContext()
+	done := rt.Finish(200, 42)
+	if cc.TraceID != parent.TraceID || cc.SpanID.String() == done.SpanID {
 		t.Fatal("ChildContext must keep the trace ID and mint a fresh span ID")
 	}
-	done := rt.Finish(200, 42)
 	if done.TraceID != parent.TraceID.String() || done.Parent != parent.SpanID.String() {
 		t.Fatalf("finished trace identity wrong: %+v", done)
 	}
@@ -121,42 +122,98 @@ func TestStartRequestAdoptsParent(t *testing.T) {
 }
 
 func TestReqTraceSpans(t *testing.T) {
-	_, rt := StartRequest(context.Background(), "serve.synth", SpanContext{})
+	// A request span is the root of its own tree: it must not attach
+	// to a span already in the context (a daemon's root span would
+	// otherwise retain every request it ever served).
+	bctx, daemon := Start(context.Background(), "daemon")
+	ctx, rt := StartRequest(bctx, "serve.synth", SpanContext{})
 	rt.SetHTTP("POST", "/v1/profiles/x/synth", true)
-	end := rt.StartSpan("synth.stream")
-	time.Sleep(time.Millisecond)
-	end()
-	rt.StartSpan("never.ended") // an end function that never runs records nothing
-	done := rt.Finish(200, 7)
-	if len(done.Spans) != 1 || done.Spans[0].Name != "synth.stream" {
-		t.Fatalf("spans = %+v, want exactly synth.stream", done.Spans)
+	sctx, stream := Start(ctx, "synth.stream")
+	if stream.TraceID() != rt.TraceID() {
+		t.Fatal("child span did not inherit the request's trace ID")
 	}
-	if done.Spans[0].DurNs <= 0 || done.Spans[0].StartNs < 0 {
-		t.Fatalf("span timing not positive: %+v", done.Spans[0])
+	_, sinit := Start(sctx, "synth.init") // grandchild: flattened into the trace
+	time.Sleep(time.Millisecond)
+	sinit.End()
+	stream.End()
+	Start(ctx, "never.ended") // a span that never ends records nothing
+	done := rt.Finish(200, 7)
+	if len(done.Spans) != 2 || done.Spans[0].Name != "synth.stream" || done.Spans[1].Name != "synth.init" {
+		t.Fatalf("spans = %+v, want synth.stream then synth.init", done.Spans)
+	}
+	for _, sp := range done.Spans {
+		if sp.DurNs <= 0 || sp.StartNs < 0 {
+			t.Fatalf("span timing not positive: %+v", sp)
+		}
+	}
+	if done.Spans[1].StartNs < done.Spans[0].StartNs || done.DurNs < done.Spans[0].DurNs {
+		t.Fatalf("spans not in start order within the request: %+v", done)
+	}
+	if len(daemon.Children()) != 0 {
+		t.Fatalf("request span attached under the context's span: %v", daemon.Children())
 	}
 	if done.Method != "POST" || done.Route != "/v1/profiles/x/synth" || !done.Peer {
 		t.Fatalf("HTTP identity lost: %+v", done)
 	}
 }
 
+// TestRequestFinishConcurrent finishes a request while parallel stages
+// still attach and end spans under it (run under -race); once they are
+// done, the trace holds every ended span in start order.
+func TestRequestFinishConcurrent(t *testing.T) {
+	ctx, rt := StartRequest(context.Background(), "serve.scenario", SpanContext{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				sctx, sp := Start(ctx, "stage")
+				_, inner := Start(sctx, "stage.inner")
+				inner.End()
+				sp.End()
+			}
+		}()
+	}
+	mid := rt.Finish(200, 0) // races the workers on purpose
+	wg.Wait()
+	if len(mid.Spans) > 400 {
+		t.Fatalf("mid-flight trace has %d spans, want <= 400", len(mid.Spans))
+	}
+	done := rt.Finish(200, 0)
+	if len(done.Spans) != 400 {
+		t.Fatalf("trace has %d spans, want 400", len(done.Spans))
+	}
+	for i := 1; i < len(done.Spans); i++ {
+		if done.Spans[i].StartNs < done.Spans[i-1].StartNs {
+			t.Fatalf("spans out of start order at %d: %+v", i, done.Spans[i-1:i+1])
+		}
+	}
+}
+
 func TestReqTraceNilSafe(t *testing.T) {
-	var rt *ReqTrace
+	var rt *Span
 	if !rt.TraceID().IsZero() {
 		t.Fatal("nil trace has a trace ID")
 	}
-	if rt.Context().Valid() || rt.ChildContext().Valid() {
+	if rt.ChildContext().Valid() {
 		t.Fatal("nil trace has a valid span context")
 	}
 	rt.SetHTTP("GET", "/", false)
-	rt.StartSpan("x")()
+	rt.End()
 	if rt.Finish(200, 0) != nil {
 		t.Fatal("nil trace finished to a record")
 	}
-	if RequestFromContext(context.Background()) != nil {
+	if SpanFromContext(context.Background()).ChildContext().Valid() {
 		t.Fatal("empty context carries a trace")
 	}
-	if RequestFromContext(nil) != nil {
+	if SpanFromContext(nil).ChildContext().Valid() {
 		t.Fatal("nil context carries a trace")
+	}
+	// A span outside any request carries no trace either.
+	_, cli := Start(context.Background(), "profile")
+	if !cli.TraceID().IsZero() || cli.ChildContext().Valid() {
+		t.Fatal("a span outside a request has a trace")
 	}
 }
 

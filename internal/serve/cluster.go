@@ -114,8 +114,8 @@ func (c *cluster) do(ctx context.Context, method, url string, body io.Reader) (*
 	req.Header.Set(headerPeer, c.self)
 	// Propagate the caller's trace so a fetch-on-miss or replication hop
 	// shows up under the same trace ID on the remote node.
-	if rt := obs.RequestFromContext(ctx); rt != nil {
-		req.Header.Set("traceparent", rt.ChildContext().Traceparent())
+	if sc := obs.SpanFromContext(ctx).ChildContext(); sc.Valid() {
+		req.Header.Set("traceparent", sc.Traceparent())
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
@@ -303,8 +303,8 @@ func (c *cluster) probePeers(ctx context.Context) []peerHealth {
 				return
 			}
 			req.Header.Set(headerPeer, c.self)
-			if rt := obs.RequestFromContext(ctx); rt != nil {
-				req.Header.Set("traceparent", rt.ChildContext().Traceparent())
+			if sc := obs.SpanFromContext(ctx).ChildContext(); sc.Valid() {
+				req.Header.Set("traceparent", sc.Traceparent())
 			}
 			start := time.Now()
 			resp, err := c.client.Do(req)

@@ -105,8 +105,9 @@ func Main(prog string, args []string) {
 	httpSrv := &http.Server{
 		Handler:           srvr.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
-		// Requests inherit the daemon's root span context, so request
-		// spans nest under the daemon span in -v output.
+		// Requests inherit the daemon's context (its logger), but not
+		// its span: each request span is the root of its own tree, so
+		// request spans do not nest under the daemon span.
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 	ln, err := net.Listen("tcp", *addr)

@@ -94,12 +94,11 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	defer func() { mActiveStreams.Set(float64(s.active.Add(-1))) }()
 
 	if spec.Output == "stats" {
-		endReplay := obs.RequestFromContext(ctx).StartSpan("scenario.replay")
+		_, replay := obs.Start(ctx, "scenario.replay")
 		rep := scenario.Replay(st, spec, dram.Default())
-		endReplay()
+		replay.SetCount("requests", int64(rep.Requests))
+		replay.End()
 		mScenarioReplays.Inc()
-		sp := obs.SpanFromContext(ctx)
-		sp.SetCount("requests", int64(rep.Requests))
 		writeJSON(w, http.StatusOK, rep)
 		return
 	}
@@ -108,7 +107,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Mocktails-Requests", strconv.FormatUint(total, 10))
 	var written int64
 	var werr error
-	endStream := obs.RequestFromContext(ctx).StartSpan("scenario.stream")
+	_, stream := obs.Start(ctx, "scenario.stream")
 	switch spec.Output {
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
@@ -118,11 +117,10 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.FormatInt(trace.BinaryEncodedSize(total), 10))
 		written, werr = trace.WriteBinaryStream(ctx, newFlushWriter(w), total, st.Next)
 	}
-	endStream()
+	stream.SetCount("requests", int64(total))
+	stream.SetCount("bytes", written)
+	stream.End()
 	mScenarioBytes.Observe(written)
-	sp := obs.SpanFromContext(ctx)
-	sp.SetCount("requests", int64(total))
-	sp.SetCount("bytes", written)
 	switch {
 	case werr == nil:
 		mScenarioStreamed.Add(total)

@@ -259,27 +259,24 @@ const (
 	headerRequestID   = "X-Request-Id"
 )
 
-// startTrace opens the request trace for r from its tracing headers.
-func (s *Server) startTrace(r *http.Request, name string) (context.Context, *obs.ReqTrace) {
+// startTrace opens the request span for r from its tracing headers.
+func (s *Server) startTrace(r *http.Request, name string) (context.Context, *obs.Span) {
 	parent, ok := obs.ParseTraceparent(r.Header.Get(headerTraceparent))
 	if !ok {
 		if id, idOK := obs.ParseTraceID(r.Header.Get(headerRequestID)); idOK {
 			parent = obs.SpanContext{TraceID: id}
 		}
 	}
-	ctx, rt := obs.StartRequest(r.Context(), "serve."+name, parent)
-	rt.SetHTTP(r.Method, r.URL.Path, isPeer(r))
-	return ctx, rt
+	ctx, sp := obs.StartRequest(r.Context(), "serve."+name, parent)
+	sp.SetHTTP(r.Method, r.URL.Path, isPeer(r))
+	return ctx, sp
 }
 
-// finishTrace seals the request trace, records it in the node's ring
-// buffer, and emits the access-log line (method, route, status, bytes,
-// duration, trace ID, peer flag) when access logging is enabled.
-func (s *Server) finishTrace(rt *obs.ReqTrace, sw *statusWriter) {
-	done := rt.Finish(sw.status, sw.bytes)
-	if done == nil {
-		return
-	}
+// finishTrace ends the request span, records its trace in the node's
+// ring buffer, and emits the access-log line (method, route, status,
+// bytes, duration, trace ID, peer flag) when access logging is enabled.
+func (s *Server) finishTrace(sp *obs.Span, sw *statusWriter) {
+	done := sp.Finish(sw.status, sw.bytes)
 	s.traces.Put(done)
 	if !obs.AccessLogEnabled() {
 		return
@@ -296,38 +293,36 @@ func (s *Server) finishTrace(rt *obs.ReqTrace, sw *statusWriter) {
 }
 
 // endpoint wraps a handler with the production plumbing every route
-// shares: the request trace (extracted from traceparent/X-Request-Id
-// or assigned, recorded in the trace ring and the access log — 429s
-// included), the global and per-endpoint in-flight limits (429 +
-// Retry-After when exhausted), a request span feeding the per-endpoint
-// latency histogram, and request/error counters.
+// shares: the request span (trace extracted from traceparent/
+// X-Request-Id or assigned; recorded in the trace ring, the access log
+// and the per-endpoint stage histogram — 429s included), the global
+// and per-endpoint in-flight limits (429 + Retry-After when
+// exhausted), and request/error counters.
 func (s *Server) endpoint(name string, lim *limiter, h http.HandlerFunc) http.HandlerFunc {
 	reqs := obs.NewCounter("serve." + name + ".requests")
 	errs := obs.NewCounter("serve." + name + ".errors")
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, rt := s.startTrace(r, name)
+		ctx, sp := s.startTrace(r, name)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		w.Header().Set(headerRequestID, rt.TraceID().String())
+		w.Header().Set(headerRequestID, sp.TraceID().String())
 		// The trace outlives everything in the request, including an
 		// aborted stream's panic: deferred first so it runs last.
-		defer s.finishTrace(rt, sw)
-		endWait := rt.StartSpan("limit.wait")
+		defer s.finishTrace(sp, sw)
+		_, wait := obs.Start(ctx, "limit.wait")
 		if !s.global.tryAcquire() {
-			endWait()
+			wait.End()
 			throttle(sw)
 			return
 		}
 		defer s.global.release()
 		if !lim.tryAcquire() {
-			endWait()
+			wait.End()
 			throttle(sw)
 			return
 		}
 		defer lim.release()
-		endWait()
+		wait.End()
 		reqs.Inc()
-		ctx, sp := obs.Start(ctx, "serve."+name)
-		defer sp.End()
 		h(sw, r.WithContext(ctx))
 		if sw.status >= 400 {
 			errs.Inc()
@@ -482,9 +477,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			fitCtx, cancel = context.WithTimeout(fitCtx, s.cfg.FitTimeout)
 			defer cancel()
 		}
-		endFit := obs.RequestFromContext(r.Context()).StartSpan("fit.stream")
+		fitCtx, fit := obs.Start(fitCtx, "fit.stream")
 		p, err = core.BuildStream(opts.Name, rd, opts.Partition, core.Workers(s.cfg.FitWorkers), core.BuildContext(fitCtx))
-		endFit()
+		fit.End()
 		var maxBytesErr *http.MaxBytesError
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -529,9 +524,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// location. Peer-marked uploads never re-replicate.
 	if added {
 		if c := s.cluster.Load(); c != nil && !isPeer(r) {
-			endRepl := obs.RequestFromContext(r.Context()).StartSpan("cluster.replicate")
-			c.replicate(r.Context(), meta.ID, p)
-			endRepl()
+			ctx, repl := obs.Start(r.Context(), "cluster.replicate")
+			c.replicate(ctx, meta.ID, p)
+			repl.End()
 		}
 	}
 	status := http.StatusCreated
@@ -560,10 +555,9 @@ const (
 // cannot admit it — and returns ok=false. Peer-marked requests never
 // fetch: they see local state only.
 func (s *Server) acquireOrFetch(w http.ResponseWriter, r *http.Request, id string) (*Pin, bool) {
-	rt := obs.RequestFromContext(r.Context())
-	endAcquire := rt.StartSpan("store.acquire")
+	_, acq := obs.Start(r.Context(), "store.acquire")
 	pin, ok := s.store.Acquire(id)
-	endAcquire()
+	acq.End()
 	if ok {
 		return pin, true
 	}
@@ -572,9 +566,9 @@ func (s *Server) acquireOrFetch(w http.ResponseWriter, r *http.Request, id strin
 		writeError(w, http.StatusNotFound, "no profile %q", id)
 		return nil, false
 	}
-	endFetch := rt.StartSpan("cluster.fetch")
-	p := c.fetch(r.Context(), id, s.cfg.MaxUploadBytes)
-	endFetch()
+	ctx, fetch := obs.Start(r.Context(), "cluster.fetch")
+	p := c.fetch(ctx, id, s.cfg.MaxUploadBytes)
+	fetch.End()
 	if p == nil {
 		writeError(w, http.StatusNotFound, "no profile %q in the cluster", id)
 		return nil, false
@@ -801,7 +795,7 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Mocktails-Requests", strconv.FormatUint(count, 10))
 	var written int64
 	var werr error
-	endStream := obs.RequestFromContext(ctx).StartSpan("synth.stream")
+	_, stream := obs.Start(ctx, "synth.stream")
 	switch opts.Format {
 	case FormatBin:
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -811,11 +805,10 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/csv")
 		written, werr = trace.WriteCSVStream(ctx, newFlushWriter(w), trace.Limit(src, count))
 	}
-	endStream()
+	stream.SetCount("requests", int64(count))
+	stream.SetCount("bytes", written)
+	stream.End()
 	mSynthBytes.Observe(written)
-	sp := obs.SpanFromContext(ctx)
-	sp.SetCount("requests", int64(count))
-	sp.SetCount("bytes", written)
 	switch {
 	case werr == nil:
 		mSynthStreamed.Add(count)

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -143,8 +146,39 @@ func TestDebugRequests(t *testing.T) {
 	for _, sp := range synthTr.Spans {
 		spanNames[sp.Name] = true
 	}
-	if !spanNames["limit.wait"] || !spanNames["store.acquire"] || !spanNames["synth.stream"] {
-		t.Fatalf("synth trace spans = %v, want limit.wait + store.acquire + synth.stream", synthTr.Spans)
+	if !spanNames["limit.wait"] || !spanNames["store.acquire"] || !spanNames["synth.stream"] ||
+		!spanNames["synth.init"] {
+		t.Fatalf("synth trace spans = %v, want limit.wait + store.acquire + synth.init + synth.stream", synthTr.Spans)
+	}
+
+	// Stages timed inside the handlers show up in the request trace
+	// too: the in-process fit of a trace upload, and the composition
+	// behind a scenario stream.
+	resp2, err := http.Post(ts.URL+"/v1/profiles?kind=trace&name=dbg", "application/gzip", gzTraceBody(t, testTrace(8, 300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusCreated {
+		t.Fatalf("trace upload status %d", resp2.StatusCode)
+	}
+	if st, _, _ := postScenario(t, ts.URL, testSpec(meta.ID)); st != http.StatusOK {
+		t.Fatalf("scenario status %d", st)
+	}
+	await(func() bool { return ringTrace(srv, "serve.scenario") != nil })
+	for route, want := range map[string][]string{
+		"serve.upload":   {"fit.stream", "profile.build_stream", "partition.stream"},
+		"serve.scenario": {"store.acquire", "scenario.compose", "scenario.stream"},
+	} {
+		tr := ringTrace(srv, route)
+		if tr == nil {
+			t.Fatalf("%s trace missing from the ring", route)
+		}
+		for _, name := range want {
+			if !slices.ContainsFunc(tr.Spans, func(sp obs.TraceSpan) bool { return sp.Name == name }) {
+				t.Fatalf("%s trace spans = %v, want %v", route, tr.Spans, want)
+			}
+		}
 	}
 
 	if resp, err := http.Get(ts.URL + "/debug/requests?n=bogus"); err != nil {
@@ -159,6 +193,47 @@ func TestDebugRequests(t *testing.T) {
 	// The ring accessor agrees with the endpoint.
 	if tr := ringTrace(srv, "serve.synth"); tr == nil {
 		t.Fatal("synth trace missing from the ring accessor")
+	}
+}
+
+// TestRequestSpansNotRetained serves requests the way mocktailsd does,
+// with the daemon's root span in every request's base context. Each
+// request span must be the root of its own tree: nothing attaches
+// under the daemon span (which lives until shutdown and would retain
+// every request ever served), yet every request lands in the ring.
+func TestRequestSpansNotRetained(t *testing.T) {
+	base, root := obs.Start(context.Background(), "mocktailsd")
+	srv, err := NewServer(Config{TraceRing: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.BaseContext = func(net.Listener) context.Context { return base }
+	ts.Start()
+	defer ts.Close()
+
+	meta := uploadProfile(t, ts, testProfile(t, 5))
+	const n = 4
+	for seed := uint64(1); seed <= n; seed++ {
+		if st, _ := streamSynth(t, ts.URL, meta.ID, seed); st != http.StatusOK {
+			t.Fatalf("synth status %d", st)
+		}
+	}
+	synths := func() int {
+		k := 0
+		for _, tr := range srv.Traces().Recent(srv.Traces().Cap()) {
+			if tr.Name == "serve.synth" {
+				k++
+			}
+		}
+		return k
+	}
+	await(func() bool { return synths() == n })
+	if got := synths(); got != n {
+		t.Fatalf("ring holds %d synth traces, want %d", got, n)
+	}
+	if kids := root.Children(); len(kids) != 0 {
+		t.Fatalf("daemon span retained %d request spans", len(kids))
 	}
 }
 
@@ -307,8 +382,8 @@ func TestClusterTracePropagation(t *testing.T) {
 	for _, sp := range trB.Spans {
 		spansB[sp.Name] = true
 	}
-	if !spansB["cluster.fetch"] || !spansB["synth.stream"] {
-		t.Fatalf("node B spans = %v, want cluster.fetch + synth.stream", trB.Spans)
+	if !spansB["cluster.fetch"] || !spansB["synth.stream"] || !spansB["synth.init"] {
+		t.Fatalf("node B spans = %v, want cluster.fetch + synth.init + synth.stream", trB.Spans)
 	}
 
 	// Node A: the peer download under the SAME trace ID, marked peer.
