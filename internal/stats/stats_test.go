@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -241,6 +243,80 @@ func TestHistogramDistanceSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestHistogramDistanceDeterministic(t *testing.T) {
+	rng := NewRNG(3)
+	a, b := NewHistogram(), NewHistogram()
+	for i := 0; i < 5000; i++ {
+		a.Add(rng.Intn(200) - 50)
+		b.Add(rng.Intn(300) - 20)
+	}
+	want := a.Distance(b)
+	for i := 0; i < 200; i++ {
+		if d := a.Distance(b); math.Float64bits(d) != math.Float64bits(want) {
+			t.Fatalf("call %d: Distance = %v, first call gave %v", i, d, want)
+		}
+	}
+	if d := b.Distance(a); math.Float64bits(d) != math.Float64bits(want) {
+		t.Errorf("b.Distance(a) = %v, a.Distance(b) = %v", d, want)
+	}
+}
+
+// TestHistogramMatchesMapReference checks the dense/sparse split of
+// Histogram against a plain map-counted reference on random samples
+// straddling both ends of the dense range.
+func TestHistogramMatchesMapReference(t *testing.T) {
+	edges := []int{-5, -1, 0, 1, 15, 16, 17, 1023, 1024, 1025, 1 << 40}
+	rng := NewRNG(11)
+	for trial := 0; trial < 200; trial++ {
+		h := NewHistogram()
+		ref := map[int]uint64{}
+		var sum float64
+		n := rng.Intn(300)
+		for i := 0; i < n; i++ {
+			var v int
+			switch rng.Intn(3) {
+			case 0:
+				v = edges[rng.Intn(len(edges))]
+			case 1:
+				v = rng.Intn(1100) - 20
+			default:
+				v = rng.Intn(64)
+			}
+			h.Add(v)
+			ref[v]++
+			sum += float64(v)
+		}
+		var vals []int
+		refMax := 0
+		for v := range ref {
+			vals = append(vals, v)
+			refMax = max(refMax, v)
+		}
+		sort.Ints(vals)
+		if got := h.Values(); !slices.Equal(got, vals) {
+			t.Fatalf("trial %d: Values = %v, want %v", trial, got, vals)
+		}
+		for _, v := range append(edges, 2, 500, -1000) {
+			if h.Count(v) != ref[v] {
+				t.Fatalf("trial %d: Count(%d) = %d, want %d", trial, v, h.Count(v), ref[v])
+			}
+		}
+		if h.Max() != refMax {
+			t.Fatalf("trial %d: Max = %d, want %d", trial, h.Max(), refMax)
+		}
+		if h.Total() != uint64(n) {
+			t.Fatalf("trial %d: Total = %d, want %d", trial, h.Total(), n)
+		}
+		wantMean := 0.0
+		if n > 0 {
+			wantMean = sum / float64(n)
+		}
+		if math.Float64bits(h.Mean()) != math.Float64bits(wantMean) {
+			t.Fatalf("trial %d: Mean = %v, want %v", trial, h.Mean(), wantMean)
+		}
 	}
 }
 
