@@ -154,13 +154,16 @@ func TestValidateExpositionRejects(t *testing.T) {
 // TestPromHandler checks the HTTP wrapper sets the exposition
 // content type and serves the Default registry when reg is nil.
 func TestPromHandler(t *testing.T) {
-	NewCounter("obs_test.prom_handler").Inc()
+	c := NewCounter("obs_test.prom_handler")
+	c.Inc()
 	rec := httptest.NewRecorder()
 	PromHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if got := rec.Header().Get("Content-Type"); got != PromContentType {
 		t.Fatalf("Content-Type = %q, want %q", got, PromContentType)
 	}
-	if !strings.Contains(rec.Body.String(), "obs_test_prom_handler 1") {
+	// Default is process-global: under -count=N the counter keeps the
+	// increments of earlier runs, so match its current value.
+	if want := fmt.Sprintf("obs_test_prom_handler %d", c.Value()); !strings.Contains(rec.Body.String(), want) {
 		t.Fatal("handler output missing the Default-registry counter")
 	}
 	if _, err := ValidateExposition(rec.Body.Bytes()); err != nil {
