@@ -3,19 +3,23 @@ package dram
 import "repro/internal/stats"
 
 // burst is one DRAM-interface transfer, the scheduling unit of the
-// controller.
+// controller. Each queue holds its bursts in arrival order and removal
+// keeps that order, so a burst's position in its queue is its FCFS key.
+// A burst carries no pointers: req indexes the owning System's slab of
+// request state.
 type burst struct {
-	bank    int
 	row     uint64
-	write   bool
 	arrival uint64
-	req     *reqState
-	seq     uint64 // global arrival order, the FCFS key
+	bank    int32
+	req     int32
+	write   bool
 }
 
 // reqState tracks an in-flight request across its bursts so that the
-// system can report per-request latency. dev, when non-nil, receives
-// the request's per-source statistics (tagged injection, see
+// system can report per-request latency. It lives in a System-owned
+// slab that bursts index; the slot is finalised and recycled when the
+// request's last burst completes. dev, when non-nil, receives the
+// request's per-source statistics (tagged injection, see
 // System.InjectTagged); untagged requests leave it nil and cost the
 // channels nothing beyond the nil checks.
 type reqState struct {
@@ -41,7 +45,7 @@ type DeviceStats struct {
 
 	qlenSum uint64 // queue length observed by this device's arriving bursts
 	qlenN   uint64
-	latSum  float64 // summed request latency, finalised by Drain
+	latSum  uint64 // summed latency of the device's completed requests
 }
 
 // AvgQueueLen returns the mean read+write queue length this device's
@@ -59,7 +63,7 @@ func (d *DeviceStats) AvgLatency() float64 {
 	if d.Requests == 0 {
 		return 0
 	}
-	return d.latSum / float64(d.Requests)
+	return float64(d.latSum) / float64(d.Requests)
 }
 
 // bankState is the row-buffer state of one bank.
@@ -74,6 +78,7 @@ type bankState struct {
 type channel struct {
 	cfg   Config
 	id    int
+	sys   *System // owns the request slab bursts index
 	banks []bankState
 
 	readQ  []burst
@@ -82,7 +87,8 @@ type channel struct {
 	busFree   uint64
 	lastWrite bool
 	draining  bool
-	seq       uint64
+	// writeHigh and writeLow are the write-drain watermarks in bursts.
+	writeHigh, writeLow int
 
 	readsSinceTurn uint64
 
@@ -122,10 +128,13 @@ type ChannelStats struct {
 	BusyUntil uint64
 }
 
-func newChannel(cfg Config, id int) *channel {
+func newChannel(cfg Config, id int, sys *System) *channel {
 	return &channel{
 		cfg:         cfg,
 		id:          id,
+		sys:         sys,
+		writeHigh:   cfg.writeHigh(),
+		writeLow:    cfg.writeLow(),
 		banks:       make([]bankState, cfg.banks()),
 		cc:          newChargeCache(cfg.ChargeCacheEntries),
 		nextRefresh: cfg.TREFI,
@@ -139,14 +148,14 @@ func newChannel(cfg Config, id int) *channel {
 	}
 }
 
-// enqueue admits a burst at time at, first advancing the channel and, if
-// the target queue is full, servicing bursts until a slot frees. It
-// returns the admission time (>= at), whose excess over at is the
-// backpressure delay experienced by the source.
-func (c *channel) enqueue(b burst, at uint64) uint64 {
+// reserve prepares the channel to admit a burst at time at: it advances
+// the channel and, if the target queue is full, services bursts until a
+// slot frees. It returns the admission time (>= at), whose excess over
+// at is the backpressure delay experienced by the source.
+func (c *channel) reserve(write bool, at uint64) uint64 {
 	c.advanceTo(at)
 	depth, q := c.cfg.ReadQueueDepth, &c.readQ
-	if b.write {
+	if write {
 		depth, q = c.cfg.WriteQueueDepth, &c.writeQ
 	}
 	accepted := at
@@ -158,29 +167,31 @@ func (c *channel) enqueue(b burst, at uint64) uint64 {
 			accepted = c.busFree
 		}
 	}
+	return accepted
+}
+
+// push appends a burst, admitted by reserve at b.arrival, to the tail
+// of its queue and records the queue length it observed.
+func (c *channel) push(b burst, dev *DeviceStats) {
+	q := &c.readQ
 	if b.write {
-		c.stats.WriteQLenSeen.Add(len(c.writeQ))
+		q = &c.writeQ
+		c.stats.WriteQLenSeen.Add(len(*q))
 		c.stats.WriteBursts++
 	} else {
-		c.stats.ReadQLenSeen.Add(len(c.readQ))
+		c.stats.ReadQLenSeen.Add(len(*q))
 		c.stats.ReadBursts++
 	}
-	if b.req != nil && b.req.dev != nil {
-		d := b.req.dev
+	if dev != nil {
 		if b.write {
-			d.WriteBursts++
-			d.qlenSum += uint64(len(c.writeQ))
+			dev.WriteBursts++
 		} else {
-			d.ReadBursts++
-			d.qlenSum += uint64(len(c.readQ))
+			dev.ReadBursts++
 		}
-		d.qlenN++
+		dev.qlenSum += uint64(len(*q))
+		dev.qlenN++
 	}
-	b.arrival = accepted
-	b.seq = c.seq
-	c.seq++
 	*q = append(*q, b)
-	return accepted
 }
 
 // advanceTo services bursts while the channel can begin work before t.
@@ -225,11 +236,11 @@ func (c *channel) step() bool {
 func (c *channel) chooseMode() bool {
 	wasDraining := c.draining
 	if c.draining {
-		if len(c.writeQ) <= c.cfg.writeLow() || len(c.writeQ) == 0 {
+		if len(c.writeQ) <= c.writeLow || len(c.writeQ) == 0 {
 			c.draining = false
 		}
 	} else {
-		if len(c.writeQ) >= c.cfg.writeHigh() || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
+		if len(c.writeQ) >= c.writeHigh || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
 			c.draining = true
 		}
 	}
@@ -250,26 +261,17 @@ func (c *channel) chooseMode() bool {
 
 // pickFRFCFS returns the index of the burst to service: the oldest
 // row-hitting burst if any (first ready), otherwise the oldest burst
-// (first come, first served).
+// (first come, first served). Queues are in arrival order, so the
+// first row hit by position is the oldest one, and position 0 is the
+// oldest burst.
 func (c *channel) pickFRFCFS(q []burst) int {
-	best := -1
 	for i := range q {
 		bk := &c.banks[q[i].bank]
 		if bk.open && bk.row == q[i].row {
-			if best < 0 || q[i].seq < q[best].seq {
-				best = i
-			}
+			return i
 		}
 	}
-	if best >= 0 {
-		return best
-	}
-	for i := range q {
-		if best < 0 || q[i].seq < q[best].seq {
-			best = i
-		}
-	}
-	return best
+	return 0
 }
 
 // service performs the timing update and statistics for one burst.
@@ -332,17 +334,18 @@ func (c *channel) service(b burst) {
 		bk.readyAt += c.cfg.TWR
 	}
 
+	rs := &c.sys.reqs[b.req]
 	if hit {
 		if b.write {
 			c.stats.WriteRowHits++
 		} else {
 			c.stats.ReadRowHits++
 		}
-		if b.req != nil && b.req.dev != nil {
+		if rs.dev != nil {
 			if b.write {
-				b.req.dev.WriteRowHits++
+				rs.dev.WriteRowHits++
 			} else {
-				b.req.dev.ReadRowHits++
+				rs.dev.ReadRowHits++
 			}
 		}
 	}
@@ -363,32 +366,32 @@ func (c *channel) service(b burst) {
 		}
 	}
 
-	if b.req != nil {
-		b.req.remaining--
-		if done > b.req.done {
-			b.req.done = done
-		}
+	if done > rs.done {
+		rs.done = done
+	}
+	if rs.remaining--; rs.remaining == 0 {
+		c.sys.complete(b.req)
 	}
 }
 
 // activate returns the activation latency for opening a row: the reduced
 // tRCD when the ChargeCache holds the row, the full tRCD otherwise.
-func (c *channel) activate(bank int, row uint64) uint64 {
-	if c.cc != nil && c.cc.lookup(bank, row) {
+func (c *channel) activate(bank int32, row uint64) uint64 {
+	if c.cc != nil && c.cc.lookup(int(bank), row) {
 		return c.cfg.TRCDReduced
 	}
 	return c.cfg.TRCD
 }
 
 // closeRow records a row closure in the ChargeCache.
-func (c *channel) closeRow(bank int, row uint64) {
+func (c *channel) closeRow(bank int32, row uint64) {
 	if c.cc != nil {
-		c.cc.insert(bank, row)
+		c.cc.insert(int(bank), row)
 	}
 }
 
 // pendingForRow reports whether any queued burst targets the bank's row.
-func (c *channel) pendingForRow(bank int, row uint64) bool {
+func (c *channel) pendingForRow(bank int32, row uint64) bool {
 	for i := range c.readQ {
 		if c.readQ[i].bank == bank && c.readQ[i].row == row {
 			return true

@@ -33,9 +33,12 @@ type System struct {
 	xbar     *xbar.Crossbar
 	channels []*channel
 
-	reqs      []*reqState
-	totalLat  float64
-	nRequests uint64
+	// reqs is the slab of in-flight request state that queued bursts
+	// index; free lists the slots of completed requests for reuse.
+	reqs      []reqState
+	free      []int32
+	latSum    uint64 // summed latency of completed requests
+	nRequests uint64 // completed requests
 }
 
 // NewSystem creates a memory system with the given configuration and
@@ -48,7 +51,7 @@ func NewSystem(cfg Config, xbarLatency uint64) *System {
 	}
 	s.channels = make([]*channel, cfg.Channels)
 	for i := range s.channels {
-		s.channels[i] = newChannel(cfg, i)
+		s.channels[i] = newChannel(cfg, i, s)
 	}
 	return s
 }
@@ -62,55 +65,82 @@ func (s *System) Inject(r trace.Request) (delay uint64) {
 
 // InjectTagged is Inject with per-source attribution: when dev is
 // non-nil, the request's bursts, row hits, observed queue depths and
-// (after Drain) latency are accumulated into it in addition to the
-// system-wide statistics. Passing each traffic source of a shared
-// scenario its own DeviceStats yields the per-device contention
-// breakdown of the paper's §VI mixing study; the timing simulation is
-// identical with or without tags.
+// latency are accumulated into it in addition to the system-wide
+// statistics. Passing each traffic source of a shared scenario its own
+// DeviceStats yields the per-device contention breakdown of the
+// paper's §VI mixing study; the timing simulation is identical with or
+// without tags.
 func (s *System) InjectTagged(r trace.Request, dev *DeviceStats) (delay uint64) {
-	port, _, _ := s.cfg.mapAddr((r.Addr / s.cfg.BurstBytes) * s.cfg.BurstBytes)
-	size := uint64(r.Size)
-	if size == 0 {
-		size = 1
+	bb, rb := s.cfg.BurstBytes, s.cfg.RowBufferBytes
+	first := r.Addr / bb
+	last := first
+	if r.Size > 0 {
+		last = (r.End() - 1) / bb
 	}
-	arrival := s.xbar.Transfer(r.Time, port, size)
-	first := r.Addr / s.cfg.BurstBytes
-	last := (r.End() - 1) / s.cfg.BurstBytes
-	if r.Size == 0 {
-		last = first
-	}
-	rs := &reqState{inject: r.Time, remaining: int(last - first + 1), dev: dev}
+	ch, bank, row := s.cfg.mapAddr(first * bb)
+	arrival := s.xbar.Transfer(r.Time, ch, max(uint64(r.Size), 1))
 	if dev != nil {
 		dev.Requests++
 	}
-	s.reqs = append(s.reqs, rs)
+	write := r.Op == trace.Write
+	req := int32(-1)
 	var worst uint64
-	for bi := first; bi <= last; bi++ {
-		addr := bi * s.cfg.BurstBytes
-		ch, bank, row := s.cfg.mapAddr(addr)
-		b := burst{bank: bank, row: row, write: r.Op == trace.Write, req: rs}
-		accepted := s.channels[ch].enqueue(b, arrival)
-		if accepted-arrival > worst {
-			worst = accepted - arrival
+	for bi := first; ; {
+		// The bursts of one row-buffer stripe share channel, bank and
+		// row, so the address is split once per stripe.
+		stripeLast := min(last, ((bi*bb/rb+1)*rb-1)/bb)
+		c := s.channels[ch]
+		for ; bi <= stripeLast; bi++ {
+			accepted := c.reserve(write, arrival)
+			if req < 0 {
+				// Allocated once the queue has room, so the slab never
+				// outgrows the bursts the queues can hold.
+				req = s.alloc(r.Time, int(last-first+1), dev)
+			}
+			c.push(burst{row: row, arrival: accepted, bank: int32(bank), req: req, write: write}, dev)
+			worst = max(worst, accepted-arrival)
 		}
+		if bi > last {
+			return worst
+		}
+		ch, bank, row = s.cfg.mapAddr(bi * bb)
 	}
-	return worst
 }
 
-// Drain services every queued burst and finalises latency accounting.
+// alloc takes a slab slot for a request injected at inject that spans
+// n bursts, reusing the slot of a completed request when there is one.
+func (s *System) alloc(inject uint64, n int, dev *DeviceStats) int32 {
+	rs := reqState{inject: inject, remaining: n, dev: dev}
+	if k := len(s.free); k > 0 {
+		i := s.free[k-1]
+		s.free = s.free[:k-1]
+		s.reqs[i] = rs
+		return i
+	}
+	s.reqs = append(s.reqs, rs)
+	return int32(len(s.reqs) - 1)
+}
+
+// complete finalises request i once its last burst is done: its
+// injection-to-completion latency joins the system's (and its
+// device's) sums, and its slot returns to the free list.
+func (s *System) complete(i int32) {
+	rs := &s.reqs[i]
+	lat := rs.done - rs.inject
+	s.latSum += lat
+	s.nRequests++
+	if rs.dev != nil {
+		rs.dev.latSum += lat
+	}
+	*rs = reqState{}
+	s.free = append(s.free, i)
+}
+
+// Drain services every queued burst, completing every request.
 func (s *System) Drain() {
 	for _, c := range s.channels {
 		c.drain()
 	}
-	for _, r := range s.reqs {
-		lat := float64(r.done - r.inject)
-		s.totalLat += lat
-		s.nRequests++
-		if r.dev != nil {
-			r.dev.latSum += lat
-		}
-	}
-	s.reqs = s.reqs[:0]
 }
 
 // Channels returns the number of channels.
@@ -119,7 +149,9 @@ func (s *System) Channels() int { return len(s.channels) }
 // ChannelStats returns the statistics of channel i.
 func (s *System) ChannelStats(i int) *ChannelStats { return &s.channels[i].stats }
 
-// Result aggregates system-wide metrics after Drain.
+// Result aggregates system-wide metrics. Requests are counted, and
+// their latency summed, as they complete, so a Result covers every
+// injected request once Drain has run.
 type Result struct {
 	// Per-channel statistics in channel order.
 	Channels []ChannelStats
@@ -134,7 +166,7 @@ type Result struct {
 func (s *System) Result() Result {
 	res := Result{Requests: s.nRequests}
 	if s.nRequests > 0 {
-		res.AvgLatency = s.totalLat / float64(s.nRequests)
+		res.AvgLatency = float64(s.latSum) / float64(s.nRequests)
 	}
 	res.Channels = make([]ChannelStats, len(s.channels))
 	for i, c := range s.channels {
