@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -68,6 +69,7 @@ type manifest struct {
 	Cases   []goldenCase   `json:"cases"`
 	Streams []goldenStream `json:"streams"`
 	DRAM    []goldenStream `json:"dram"`
+	Table2  []goldenStream `json:"table2"`
 }
 
 // goldenConfigs names the partition configurations the corpus uses.
@@ -269,6 +271,46 @@ func goldenDRAM(t *testing.T, traces map[string]trace.Trace, configs map[string]
 	return out
 }
 
+// goldenTable2 computes the profile digest of every full-length Table
+// II proxy under the §IV and §V configurations. Each trace is fit the
+// way a trace upload is: its gzip encoding streams through the sniffing
+// decoder into core.BuildStream, so the windows of thousands of
+// requests the corpus heads above never reach are pinned too.
+func goldenTable2(t *testing.T) []goldenStream {
+	t.Helper()
+	cfgs := []struct {
+		name string
+		cfg  partition.Config
+	}{
+		{"default", core.DefaultConfig()},
+		{"cpuport", core.CPUPortConfig()},
+	}
+	var out []goldenStream
+	for _, spec := range workloads.Catalog() {
+		tr := spec.Gen()
+		var gz bytes.Buffer
+		if err := trace.WriteGzip(&gz, tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cfgs {
+			d, err := trace.NewDecoder(bytes.NewReader(gz.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := core.BuildStream(spec.Name, d, c.cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", spec.Name, c.name, err)
+			}
+			out = append(out, goldenStream{
+				Name:     spec.Name + "/" + c.name,
+				Requests: len(tr),
+				SHA:      digest(t, func(w io.Writer) error { return profile.Write(w, p) }),
+			})
+		}
+	}
+	return out
+}
+
 // dumpDRAM writes a canonical text form of every statistic a
 // dram.Result carries, floats as their IEEE-754 bits.
 func dumpDRAM(w io.Writer, res dram.Result) error {
@@ -342,6 +384,7 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	got.Streams = goldenStreams(t, traces, configs)
 	got.DRAM = goldenDRAM(t, traces, configs)
+	got.Table2 = goldenTable2(t)
 
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(manifestPath), 0o755); err != nil {
@@ -414,6 +457,21 @@ func TestGoldenCorpus(t *testing.T) {
 			t.Errorf("dram %s: missing from manifest (run -update)", g.Name)
 		} else if g != w {
 			t.Errorf("dram %s: simulation output drifted from golden corpus:\n  want %+v\n  got  %+v", g.Name, w, g)
+		}
+	}
+	if len(want.Table2) != len(got.Table2) {
+		t.Errorf("manifest holds %d table2 entries, plan has %d (run -update after changing the plan)",
+			len(want.Table2), len(got.Table2))
+	}
+	fits := make(map[string]goldenStream, len(want.Table2))
+	for _, s := range want.Table2 {
+		fits[s.Name] = s
+	}
+	for _, g := range got.Table2 {
+		if w, ok := fits[g.Name]; !ok {
+			t.Errorf("table2 %s: missing from manifest (run -update)", g.Name)
+		} else if g != w {
+			t.Errorf("table2 %s: profile drifted from golden corpus:\n  want %+v\n  got  %+v", g.Name, w, g)
 		}
 	}
 }
