@@ -13,7 +13,7 @@ package partition
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -272,7 +272,7 @@ func ByFixedBlock(t trace.Trace, blockSize uint64) []Leaf {
 	for b := range groups {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slices.Sort(blocks)
 	out := make([]Leaf, 0, len(blocks))
 	for _, b := range blocks {
 		out = append(out, Leaf{

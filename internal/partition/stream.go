@@ -57,7 +57,7 @@ type Streamer struct {
 
 	cur trace.Trace
 	// reuse is set when rest holds a spatial layer: spatial grouping
-	// copies requests into fresh per-region slices, so no leaf aliases
+	// copies requests into freshly allocated leaves, so no leaf aliases
 	// the window buffer and one buffer serves every window.
 	reuse    bool
 	started  bool

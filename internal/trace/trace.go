@@ -8,8 +8,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Op is the operation of a memory request.
@@ -65,7 +66,7 @@ func (t Trace) Clone() Trace {
 // SortByTime stably sorts the trace by timestamp, preserving the relative
 // order of requests that share a cycle.
 func (t Trace) SortByTime() {
-	sort.SliceStable(t, func(i, j int) bool { return t[i].Time < t[j].Time })
+	slices.SortStableFunc(t, func(a, b Request) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // Sorted reports whether the trace is non-decreasing in time.
