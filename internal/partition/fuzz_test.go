@@ -22,12 +22,15 @@ func FuzzSplit(f *testing.F) {
 		now := uint64(0)
 		for i := 0; i < int(n); i++ {
 			now += uint64(rng.Range(0, 300))
-			tr = append(tr, trace.Request{
-				Time: now,
-				Addr: uint64(rng.Intn(1<<20)) * 16,
-				Size: uint32(1 << rng.Intn(8)),
-				Op:   trace.Op(rng.Intn(2)),
-			})
+			addr := uint64(rng.Intn(1<<20)) * 16
+			if rng.Intn(8) == 0 { // within 4 KiB of 2^64, where ends wrap
+				addr = -(uint64(1+rng.Intn(256)) * 16)
+			}
+			size := uint32(1 << rng.Intn(8))
+			if rng.Intn(8) == 0 {
+				size = 0
+			}
+			tr = append(tr, trace.Request{Time: now, Addr: addr, Size: size, Op: trace.Op(rng.Intn(2))})
 		}
 
 		layers := []Layer{

@@ -337,6 +337,27 @@ func TestUploadEmptyTrace(t *testing.T) {
 	}
 }
 
+// A zero-size request whose empty range touches the end of a merged
+// region fits like any other: dynamic partitioning counts it as one
+// byte rather than crashing the handler.
+func TestUploadZeroSizeRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tr := trace.Trace{
+		{Time: 1, Addr: 0, Size: 64, Op: trace.Read},
+		{Time: 2, Addr: 0, Size: 64, Op: trace.Read},
+		{Time: 3, Addr: 64, Size: 0, Op: trace.Read},
+	}
+	resp, err := http.Post(ts.URL+"/v1/profiles?kind=trace", "application/gzip", gzTraceBody(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("status %d body %s, want 201", resp.StatusCode, body)
+	}
+}
+
 func TestGetProfile(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	p := testProfile(t, 1)
