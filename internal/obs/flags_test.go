@@ -74,6 +74,9 @@ func TestSetAccessLog(t *testing.T) {
 // stage metrics, and non-empty CPU/heap/trace profiles.
 func TestFlagsStartStop(t *testing.T) {
 	defer SetVerbose(false)
+	// Start applies AccessLog, false in this Flags; restore the
+	// process-wide default for the tests that follow.
+	defer SetAccessLog(true)
 	dir := t.TempDir()
 	f := &Flags{
 		Metrics:    filepath.Join(dir, "metrics.json"),
