@@ -204,8 +204,13 @@ func BenchmarkSynthesize(b *testing.B) {
 		b.Run(c.size+"/flat-serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				// Pre-sized like the serial row's SynthesizeTrace, so the
+				// two rows differ only in the profile representation.
 				src := synth.NewFrom(f, uint64(i))
-				got := trace.Collect(src, 0)
+				got := make(trace.Trace, 0, f.Requests())
+				for req, ok := src.Next(); ok; req, ok = src.Next() {
+					got = append(got, req)
+				}
 				src.Close()
 				if len(got) != len(tr) {
 					b.Fatal("short synthesis")
@@ -344,13 +349,22 @@ func BenchmarkServeSynth(b *testing.B) {
 		// Cold hit: every iteration demotes the profile to the disk tier
 		// first, so the request pays promotion (mmap, no decode) on top
 		// of synthesis. The tiered-store design goal is that this stays
-		// close to the warm row above.
+		// close to the warm row above. The handler releases its pin
+		// after the response completes, asynchronously to the client
+		// reading the last byte, so Demote retries until the previous
+		// iteration's pin is gone, within a bound.
+		demote := func(b *testing.B) {
+			for deadline := time.Now().Add(5 * time.Second); !srv.Store().Demote(meta.ID); {
+				if time.Now().After(deadline) {
+					b.Fatal("demote refused: pin still held after 5s")
+				}
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
 		b.Run(c.size+"/cold", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !srv.Store().Demote(meta.ID) {
-					b.Fatal("demote refused")
-				}
+				demote(b)
 				stream(b, i)
 			}
 			b.SetBytes(want)

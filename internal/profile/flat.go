@@ -465,13 +465,22 @@ func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 // MarshalFlat encodes the profile in the flat format. The canonical
 // (varint) encoding size is measured and recorded in the header so a
 // flat file preserves the byte accounting content addressing uses.
-func MarshalFlat(p *Profile) ([]byte, error) {
+func MarshalFlat(p *Profile) ([]byte, error) { return MarshalFlatTo(p, nil) }
+
+// MarshalFlatTo is MarshalFlat that also streams the canonical encoding
+// it measures to canon (when non-nil), so a caller hashing that
+// encoding for a content address gets it from the same pass.
+func MarshalFlatTo(p *Profile, canon io.Writer) ([]byte, error) {
 	c, err := countFlat(p)
 	if err != nil {
 		return nil, err
 	}
 	var cw countWriter
-	if err := Write(&cw, p); err != nil {
+	var w io.Writer = &cw
+	if canon != nil {
+		w = io.MultiWriter(&cw, canon)
+	}
+	if err := Write(w, p); err != nil {
 		return nil, err
 	}
 

@@ -72,6 +72,20 @@ func TestFlatRoundTrip(t *testing.T) {
 	if f.CanonicalBytes() != int64(canon.Len()) {
 		t.Errorf("CanonicalBytes = %d, want %d", f.CanonicalBytes(), canon.Len())
 	}
+	// MarshalFlatTo's measuring pass streams exactly that canonical
+	// encoding to its writer (the bytes the serve store hashes for the
+	// content address), and the buffer is MarshalFlat's.
+	var tee bytes.Buffer
+	buf2, err := MarshalFlatTo(p, &tee)
+	if err != nil {
+		t.Fatalf("MarshalFlatTo: %v", err)
+	}
+	if !bytes.Equal(tee.Bytes(), canon.Bytes()) {
+		t.Errorf("MarshalFlatTo streamed %d canonical bytes that differ from Write's %d", tee.Len(), canon.Len())
+	}
+	if !bytes.Equal(buf2, buf) {
+		t.Error("MarshalFlatTo buffer differs from MarshalFlat")
+	}
 	// Every leaf viewed through the flat buffer equals the heap leaf.
 	var scratch Leaf
 	for i := range p.Leaves {

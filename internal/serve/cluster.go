@@ -138,20 +138,15 @@ func (c *cancelReadCloser) Close() error {
 	return err
 }
 
-// replicate pushes a freshly-admitted profile to its ring owner so the
-// canonical location always holds a copy, wherever the upload landed.
-// A push to self is a no-op; a failed push is logged and counted but
-// does not fail the upload — the uploader keeps its local copy and
-// fetch-on-miss covers readers until the owner recovers.
-func (c *cluster) replicate(ctx context.Context, id string, p *profile.Profile) {
+// replicate pushes a freshly-admitted profile's flat encoding (the
+// buffer the store holds) to its ring owner so the canonical location
+// always holds a copy, wherever the upload landed. A push to self is
+// a no-op; a failed push is logged and counted but does not fail the
+// upload — the uploader keeps its local copy and fetch-on-miss covers
+// readers until the owner recovers.
+func (c *cluster) replicate(ctx context.Context, id string, flat []byte) {
 	owner := c.ring.Owner(id)
 	if owner == c.self {
-		return
-	}
-	flat, err := profile.MarshalFlat(p)
-	if err != nil {
-		mClusterReplErrors.Inc()
-		obs.FromContext(ctx).Warn("cluster: flat-encoding for replication failed", "id", id, "err", err)
 		return
 	}
 	resp, err := c.do(ctx, http.MethodPost, owner+"/v1/cluster/replicate", bytes.NewReader(encodeFrame(id, flat)))

@@ -94,10 +94,11 @@ func newDiskTier(dir string, budget int64) (*diskTier, error) {
 
 func (d *diskTier) path(id string) string { return filepath.Join(d.dir, id+flatExt) }
 
-// write persists p as a flat file keyed by id, unless one already
-// exists (then it only refreshes recency). The file is written to a
-// temp name and renamed, so readers never observe a partial file.
-func (d *diskTier) write(id string, p *profile.Profile) error {
+// write persists buf, the flat encoding of profile id, as a file
+// keyed by id, unless one already exists (then it only refreshes
+// recency). The file is written to a temp name and renamed, so readers
+// never observe a partial file.
+func (d *diskTier) write(id string, buf []byte) error {
 	d.mu.Lock()
 	if el, ok := d.files[id]; ok {
 		d.lru.MoveToFront(el)
@@ -106,11 +107,6 @@ func (d *diskTier) write(id string, p *profile.Profile) error {
 	}
 	d.mu.Unlock()
 
-	buf, err := profile.MarshalFlat(p)
-	if err != nil {
-		mDiskWriteErrors.Inc()
-		return err
-	}
 	tmp, err := os.CreateTemp(d.dir, "put-*"+flatExt+".tmp")
 	if err != nil {
 		mDiskWriteErrors.Inc()

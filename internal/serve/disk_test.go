@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,9 +55,7 @@ func TestDiskTierDemotePromoteByteIdentical(t *testing.T) {
 	if !ok {
 		t.Fatal("warm acquire missed")
 	}
-	if pin.Flat() != nil {
-		t.Fatal("fresh upload should be heap-backed")
-	}
+	warm := append([]byte(nil), pin.View().Bytes()...)
 	want := drainPin(pin, 42)
 	pin.Release()
 
@@ -67,15 +66,15 @@ func TestDiskTierDemotePromoteByteIdentical(t *testing.T) {
 		t.Fatalf("RAM tier holds %d entries after demotion", s.Len())
 	}
 
-	// Cold hit: promoted from disk as a flat mapping, and the stream it
-	// feeds is byte-identical to the heap profile's.
+	// Cold hit: promoted from disk as a mapping of the same bytes Put
+	// encoded, so the stream it feeds is byte-identical too.
 	pin2, ok := s.Acquire(meta.ID)
 	if !ok {
 		t.Fatal("cold acquire missed a disk-tier profile")
 	}
 	defer pin2.Release()
-	if pin2.Flat() == nil {
-		t.Fatal("promoted entry should be flat-backed")
+	if !bytes.Equal(pin2.View().Bytes(), warm) {
+		t.Fatal("promoted mapping differs from the buffer Put encoded")
 	}
 	if pin2.Meta() != meta {
 		t.Fatalf("promoted meta %+v != uploaded meta %+v", pin2.Meta(), meta)

@@ -509,7 +509,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		mFitsServed.Inc()
 	}
-	meta, added, err := s.store.Put(p)
+	meta, flat, added, err := s.store.put(p)
 	if errors.Is(err, ErrStoreFull) {
 		writeError(w, http.StatusInsufficientStorage, "%v", err)
 		return
@@ -521,11 +521,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// A newly-admitted profile is pushed to its ring owner before the
 	// response is written, so by the time the uploader learns the ID,
 	// any node in the cluster can already resolve it at its canonical
-	// location. Peer-marked uploads never re-replicate.
+	// location. The push sends the flat bytes the store just encoded.
+	// Peer-marked uploads never re-replicate.
 	if added {
 		if c := s.cluster.Load(); c != nil && !isPeer(r) {
 			ctx, repl := obs.Start(r.Context(), "cluster.replicate")
-			c.replicate(ctx, meta.ID, p)
+			c.replicate(ctx, meta.ID, flat)
 			repl.End()
 		}
 	}
@@ -538,9 +539,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, uploadResponse{Meta: meta, Deduped: !added})
 }
 
-// Download media types. Flat downloads are the raw zero-copy encoding
-// (docs/FORMAT.md); gz downloads are the canonical varint encoding
-// wrapped in gzip, the portable interchange format.
+// Download media types. Flat downloads are the stored zero-copy
+// encoding (docs/FORMAT.md), sent as is; gz downloads are the
+// canonical varint encoding wrapped in gzip, the portable interchange
+// format.
 const (
 	contentTypeFlat = "application/x-mocktails-flat-profile"
 	contentTypeGz   = "application/gzip"
@@ -599,44 +601,24 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer pin.Release()
-		// The response always advertises the encoding actually sent:
-		// download=gz or download=flat force one, any other truthy value
-		// means "as stored" — flat for entries backed by the disk tier's
-		// mapping, gz for decoded heap residents.
-		format := dl
-		if dl != "gz" && dl != "flat" {
-			if pin.Flat() != nil {
-				format = "flat"
-			} else {
-				format = "gz"
-			}
-		}
-		ctx := r.Context()
+		// download=gz re-encodes as gzip; any other value sends the
+		// stored flat bytes with no encode. The headers always describe
+		// the encoding actually sent.
 		w.Header().Set("X-Mocktails-Profile", id)
-		switch format {
-		case "flat":
-			buf := []byte(nil)
-			if f := pin.Flat(); f != nil {
-				buf = f.Bytes()
-			} else {
-				var err error
-				if buf, err = profile.MarshalFlat(pin.Profile()); err != nil {
-					writeError(w, http.StatusInternalServerError, "encoding profile: %v", err)
-					return
-				}
-			}
+		var err error
+		if dl == "gz" {
+			w.Header().Set("Content-Type", contentTypeGz)
+			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".profile.gz"))
+			err = profile.WriteGzip(w, pin.View().Profile())
+		} else {
+			buf := pin.View().Bytes()
 			w.Header().Set("Content-Type", contentTypeFlat)
 			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+flatExt))
 			w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-			if _, err := w.Write(buf); err != nil {
-				obs.FromContext(ctx).Debug("profile download aborted", "id", id, "err", err)
-			}
-		case "gz":
-			w.Header().Set("Content-Type", contentTypeGz)
-			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".profile.gz"))
-			if err := profile.WriteGzip(w, pin.Profile()); err != nil {
-				obs.FromContext(ctx).Debug("profile download aborted", "id", id, "err", err)
-			}
+			_, err = w.Write(buf)
+		}
+		if err != nil {
+			obs.FromContext(r.Context()).Debug("profile download aborted", "id", id, "err", err)
 		}
 		return
 	}
@@ -782,9 +764,10 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	// The view is either the decoded heap profile or a zero-copy flat
-	// mapping promoted from the disk tier; synthesis is byte-identical
-	// from both, so clients cannot tell a cold hit from a warm one.
+	// The view is the store's flat buffer: Put's encoding for a fresh
+	// upload, the mmap-ed file for a cold hit promoted from the disk
+	// tier. They hold the same bytes, so clients cannot tell the two
+	// apart.
 	src := synth.NewFrom(pin.View(), opts.Seed, synth.Workers(s.cfg.SynthWorkers), synth.Context(ctx))
 	defer src.Close()
 

@@ -374,17 +374,22 @@ func TestGetProfile(t *testing.T) {
 		t.Fatalf("get meta: status %d got %+v want %+v", resp.StatusCode, got, meta)
 	}
 
-	// ?download= round-trips the stored profile bit-exactly.
+	// ?download= round-trips the stored profile bit-exactly: any value
+	// but gz sends the stored flat encoding.
 	resp, err = http.Get(ts.URL + "/v1/profiles/" + meta.ID + "?download=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := profile.ReadGzip(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtID, _, err := ProfileID(rt)
+	f, err := profile.OpenFlat(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtID, _, err := ProfileID(f.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,10 +652,11 @@ func TestParseBytes(t *testing.T) {
 	}
 }
 
-// TestDownloadAdvertisesEncoding pins the download contract: the
-// response Content-Type and Content-Disposition always describe the
-// encoding actually sent — gz for heap residents, flat for disk-tier
-// promotions — and either encoding can be forced explicitly.
+// TestDownloadAdvertisesEncoding pins the download contract: download=gz
+// re-encodes as gzip, any other value sends the stored flat bytes —
+// the exact buffer MarshalFlat produces, whether the profile is a fresh
+// upload or promoted from the disk tier — and the Content-Type and
+// Content-Disposition always describe the encoding actually sent.
 func TestDownloadAdvertisesEncoding(t *testing.T) {
 	s, ts := newTestServer(t, Config{DiskDir: t.TempDir()})
 	p := testProfile(t, 11)
@@ -702,27 +708,38 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 		}
 	}
 
-	// Heap-backed: stored encoding is gz; both encodings can be forced.
-	resp, body := get("1")
-	checkGz(resp, body)
-	resp, body = get("flat")
-	checkFlat(resp, body)
+	want, err := profile.MarshalFlat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStored := func(q string) {
+		t.Helper()
+		resp, body := get(q)
+		checkFlat(resp, body)
+		if !bytes.Equal(body, want) {
+			t.Fatalf("download=%s: %d bytes differ from MarshalFlat's %d", q, len(body), len(want))
+		}
+	}
 
-	// Demote, so the next acquire promotes a flat mapping: the stored
-	// encoding is now flat, and gz can still be forced.
+	// Warm (the buffer Put encoded): the stored flat bytes, or gz.
+	checkStored("1")
+	checkStored("flat")
+	checkGz(get("gz"))
+
+	// Demote, so the next acquire promotes the disk-tier mapping: the
+	// same bytes, and gz still re-encodes.
 	await(func() bool { return refsOf(s, meta.ID) == 0 })
 	if !s.Store().Demote(meta.ID) {
 		t.Fatal("Demote failed")
 	}
-	resp, body = get("1")
-	checkFlat(resp, body)
-	resp, body = get("gz")
-	checkGz(resp, body)
+	checkStored("1")
+	checkGz(get("gz"))
 }
 
 // TestSynthColdHitByteIdentical streams the same synthesis twice over
-// HTTP — once warm (heap resident), once cold (promoted from the disk
-// tier) — and requires identical bytes, the tier's core invariant.
+// HTTP — once warm (the buffer Put encoded), once cold (promoted from
+// the disk tier) — and requires identical bytes, the tier's core
+// invariant.
 func TestSynthColdHitByteIdentical(t *testing.T) {
 	s, ts := newTestServer(t, Config{DiskDir: t.TempDir()})
 	p := testProfile(t, 12)

@@ -58,17 +58,15 @@ type Meta struct {
 	Bytes    int64  `json:"bytes"`
 }
 
-// entry is one resident profile, backed by exactly one of two
-// representations: a decoded heap profile (fresh uploads) or a
-// zero-copy flat view over a memory-mapped disk-tier file (cold hits
-// promoted from disk). Synthesis consumes either through profile.View,
-// so the representations are interchangeable and byte-identical in
-// output. refs counts outstanding Pins; an entry with refs > 0 is
-// never evicted (a synthesis mid-stream must keep its profile). elem
-// is the entry's node in the shard's LRU list.
+// entry is one resident profile, always a flat view: over the buffer
+// Put encoded for a fresh upload, or over the memory-mapped disk-tier
+// file for a cold hit promoted from disk. The two are the same bytes,
+// so synthesis and downloads cannot tell them apart. refs counts
+// outstanding Pins; an entry with refs > 0 is never evicted (a
+// synthesis mid-stream must keep its profile). elem is the entry's
+// node in the shard's LRU list.
 type entry struct {
 	meta Meta
-	heap *profile.Profile
 	flat *profile.Flat
 	refs int
 	elem *list.Element
@@ -110,8 +108,9 @@ type Store struct {
 type StoreConfig struct {
 	// Shards is the RAM-tier shard count (<= 0 selects DefaultShards).
 	Shards int
-	// Budget bounds resident canonical-encoded profile bytes in RAM
-	// (<= 0 means unlimited).
+	// Budget bounds resident profiles in RAM, counted in canonical
+	// encoding bytes (Meta.Bytes) rather than the larger flat buffers
+	// actually held (<= 0 means unlimited).
 	Budget int64
 	// DiskDir, when non-empty, enables the disk tier: every upload is
 	// written through as a content-addressed flat file, RAM eviction
@@ -195,29 +194,41 @@ func (s *Store) shardFor(id string) *shard {
 
 // Put admits p, returning its metadata and whether it was newly added
 // (false means an identical profile was already resident — a dedupe
-// hit, which refreshes the entry's recency instead). When the shard is
-// over budget, least-recently-used unpinned entries are evicted to make
-// room; if that cannot free enough space, Put returns ErrStoreFull and
-// the store is left unchanged.
+// hit, which refreshes the entry's recency instead). The store keeps
+// its own flat encoding of p, so the caller may reuse or mutate p
+// afterwards. When the shard is over budget, least-recently-used
+// unpinned entries are evicted to make room; if that cannot free
+// enough space, Put returns ErrStoreFull and the store is left
+// unchanged.
 func (s *Store) Put(p *profile.Profile) (Meta, bool, error) {
-	id, size, err := ProfileID(p)
+	meta, _, added, err := s.put(p)
+	return meta, added, err
+}
+
+// put is Put that also returns p's flat encoding — the bytes the
+// store holds under the returned ID — for callers that forward them
+// (replication).
+func (s *Store) put(p *profile.Profile) (Meta, []byte, bool, error) {
+	// One canonical encoding pass yields both the flat buffer and, via
+	// the hash it streams through, the content address.
+	h := sha256.New()
+	buf, err := profile.MarshalFlatTo(p, h)
 	if err != nil {
-		return Meta{}, false, err
+		return Meta{}, nil, false, fmt.Errorf("serve: encoding profile: %w", err)
 	}
-	meta := Meta{
-		ID:       id,
-		Name:     p.Name,
-		Config:   p.Config,
-		Leaves:   len(p.Leaves),
-		Requests: uint64(p.Requests()),
-		Bytes:    size,
+	// The encoder just produced buf, so its checksums need no re-check.
+	f, err := profile.OpenFlat(buf, profile.FlatNoVerify())
+	if err != nil {
+		return Meta{}, nil, false, fmt.Errorf("serve: opening encoded profile: %w", err)
 	}
+	id := hex.EncodeToString(h.Sum(nil))
+	meta := flatMeta(id, f)
 	// Write through to the disk tier before taking the shard lock: once
 	// the flat file exists, RAM eviction is a pure demotion (drop the
 	// entry, the bytes are already on disk) and never does IO under the
 	// lock. A write failure only degrades this profile to RAM-only.
 	if s.disk != nil {
-		if werr := s.disk.write(id, p); werr != nil {
+		if werr := s.disk.write(id, buf); werr != nil {
 			obs.Logger().Warn("disk tier write failed; profile is RAM-only", "id", id, "err", werr)
 		}
 	}
@@ -227,13 +238,13 @@ func (s *Store) Put(p *profile.Profile) (Meta, bool, error) {
 	if e, ok := sh.entries[id]; ok {
 		sh.lru.MoveToFront(e.elem)
 		mStoreDedupe.Inc()
-		return e.meta, false, nil
+		return e.meta, buf, false, nil
 	}
-	if err := s.admit(sh, &entry{meta: meta, heap: p}); err != nil {
-		return Meta{}, false, err
+	if err := s.admit(sh, &entry{meta: meta, flat: f}); err != nil {
+		return Meta{}, nil, false, err
 	}
 	mStoreUploads.Inc()
-	return meta, true, nil
+	return meta, buf, true, nil
 }
 
 // admit inserts a fully-constructed entry into sh, evicting to make
@@ -279,19 +290,16 @@ func (s *Store) evictOne(sh *shard) bool {
 }
 
 // dropLocked removes an unpinned entry from sh, releasing its mapping
-// if it was flat-backed and counting a demotion when a disk-tier copy
-// keeps the profile servable. Caller holds sh.mu and has checked
-// e.refs == 0.
+// (a no-op for an in-memory buffer) and counting a demotion when a
+// disk-tier copy keeps the profile servable. Caller holds sh.mu and
+// has checked e.refs == 0.
 func (s *Store) dropLocked(sh *shard, e *entry) {
 	sh.lru.Remove(e.elem)
 	delete(sh.entries, e.meta.ID)
 	sh.bytes -= e.meta.Bytes
 	s.totalBytes.Add(-e.meta.Bytes)
 	s.totalCount.Add(-1)
-	if e.flat != nil {
-		e.flat.Close()
-		e.flat = nil
-	}
+	e.flat.Close()
 	if s.disk != nil && s.disk.has(e.meta.ID) {
 		mDiskDemotions.Inc()
 	}
@@ -377,9 +385,10 @@ func (s *Store) Acquire(id string) (*Pin, bool) {
 	return &Pin{s: s, sh: sh, e: e}, true
 }
 
-// flatMeta reconstructs store metadata from a flat profile's header.
-// The ID is trusted from the file name: it was content-addressed when
-// written, and the tier directory is owned by the store.
+// flatMeta builds store metadata from a flat profile's header, for
+// both a fresh upload (put computed id) and a disk-tier promotion (id
+// is trusted from the file name: it was content-addressed when
+// written, and the tier directory is owned by the store).
 func flatMeta(id string, f *profile.Flat) Meta {
 	return Meta{
 		ID:       id,
@@ -391,32 +400,11 @@ func flatMeta(id string, f *profile.Flat) Meta {
 	}
 }
 
-// View returns the pinned profile as a synthesis view — the heap
-// profile or the zero-copy flat mapping, whichever backs the entry.
-// Synthesis output is byte-identical either way.
-func (p *Pin) View() profile.View {
-	if p.e.heap != nil {
-		return p.e.heap
-	}
-	return p.e.flat
-}
-
-// Flat returns the flat view backing the pin, or nil for a heap-backed
-// entry.
-func (p *Pin) Flat() *profile.Flat { return p.e.flat }
-
-// Profile returns the pinned profile as a heap profile. For a
-// flat-backed entry this materialises a deep copy on every call —
-// prefer View for synthesis; Profile is for paths that need the
-// concrete type, like canonical re-encoding. The caller must not
-// mutate a heap-backed result — the same value is shared by every
-// concurrent stream.
-func (p *Pin) Profile() *profile.Profile {
-	if p.e.heap != nil {
-		return p.e.heap
-	}
-	return p.e.flat.Profile()
-}
+// View returns the pinned profile's flat view. It drives synthesis
+// directly, Bytes is its exact flat encoding, and Profile converts it
+// to a heap copy for paths that need one (canonical re-encoding).
+// The view must not be used after Release.
+func (p *Pin) View() *profile.Flat { return p.e.flat }
 
 // Meta returns the pinned profile's metadata.
 func (p *Pin) Meta() Meta { return p.e.meta }

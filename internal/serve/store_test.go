@@ -50,6 +50,11 @@ func TestStorePutAcquireDedupe(t *testing.T) {
 	if meta.ID == "" || meta.Bytes <= 0 || meta.Requests != 300 {
 		t.Fatalf("bad meta: %+v", meta)
 	}
+	// Put's single encoding pass addresses and sizes the profile
+	// exactly as ProfileID does.
+	if id, size, _ := ProfileID(p); meta.ID != id || meta.Bytes != size {
+		t.Fatalf("Put addressed %s (%d bytes), ProfileID %s (%d bytes)", meta.ID, meta.Bytes, id, size)
+	}
 
 	// The same content re-uploaded (even as a distinct decoded value)
 	// dedupes to the same ID without growing the store.
@@ -66,7 +71,7 @@ func TestStorePutAcquireDedupe(t *testing.T) {
 	if !ok {
 		t.Fatal("Acquire missed a resident profile")
 	}
-	if pin.Meta().ID != meta.ID || pin.Profile() == nil {
+	if pin.Meta().ID != meta.ID || pin.View() == nil {
 		t.Fatal("pin carries wrong entry")
 	}
 	pin.Release()
@@ -74,6 +79,55 @@ func TestStorePutAcquireDedupe(t *testing.T) {
 
 	if _, ok := s.Acquire("no-such-id"); ok {
 		t.Fatal("Acquire invented a profile")
+	}
+}
+
+// TestStorePutCopiesProfile pins that the store keeps its own copy of
+// an upload: mutating the caller's *Profile after Put changes neither
+// what the pin synthesizes nor the address it is served under.
+func TestStorePutCopiesProfile(t *testing.T) {
+	s := NewStore(1, 0)
+	p := testProfile(t, 5)
+	meta, _, err := s.Put(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Leaves[0].StartAddr += 1 << 30
+	mutated := false
+	for i := range p.Leaves {
+		if m := &p.Leaves[i].Stride; !m.Constant {
+			m.To[0] += 4096
+			mutated = true
+			break
+		}
+	}
+	if !mutated {
+		t.Fatal("test profile has no Markov stride model to mutate")
+	}
+
+	pin, ok := s.Acquire(meta.ID)
+	if !ok {
+		t.Fatal("Acquire missed a resident profile")
+	}
+	defer pin.Release()
+	got := drainPin(pin, 9)
+
+	orig := testProfile(t, 5)
+	if id, _, _ := ProfileID(orig); id != meta.ID {
+		t.Fatalf("unmutated profile addresses to %s, stored under %s", id, meta.ID)
+	}
+	src := core.Synthesize(orig, 9)
+	want := trace.Collect(src, 0)
+	if c, ok := src.(interface{ Close() }); ok {
+		c.Close()
+	}
+	if len(got) != len(want) {
+		t.Fatalf("pinned stream has %d requests, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("request %d: pinned %+v, offline %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -276,7 +330,7 @@ func TestStoreConcurrent(t *testing.T) {
 				case 1:
 					id, _, _ := ProfileID(p)
 					if pin, ok := s.Acquire(id); ok {
-						if pin.Profile() == nil {
+						if pin.View() == nil {
 							t.Error("pin with nil profile")
 						}
 						pin.Release()
