@@ -1,60 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
-
-// streamWorkload builds a small sorted trace.
-func streamWorkload(n int) trace.Trace {
-	var tr trace.Trace
-	tm := uint64(0)
-	for i := 0; i < n; i++ {
-		tm += uint64(13 + i%37)
-		op := trace.Read
-		if i%3 == 0 {
-			op = trace.Write
-		}
-		tr = append(tr, trace.Request{
-			Time: tm,
-			Addr: uint64((i%5)*8192) + uint64(i%11)*64,
-			Size: 64,
-			Op:   op,
-		})
-	}
-	return tr
-}
-
-// TestBuildStreamMatchesBuild: the public streaming entry point encodes
-// identically to Build.
-func TestBuildStreamMatchesBuild(t *testing.T) {
-	tr := streamWorkload(4000)
-	cfg := DefaultConfig()
-	cfg.Layers[0].Param = 500 // shrink intervals so the trace spans many windows
-
-	built, err := Build("w", tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := BuildStream("w", trace.NewSliceReader(tr), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := profile.Write(&a, built); err != nil {
-		t.Fatal(err)
-	}
-	if err := profile.Write(&b, streamed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("BuildStream encodes differently from Build")
-	}
-}
 
 // TestBuildStreamUnsorted: the streaming path reports the same
 // not-sorted diagnostic Build does.

@@ -183,7 +183,7 @@ func (e *Env) RunFig17() *Table {
 }
 
 func gzTraceSize(t trace.Trace) int {
-	var buf countWriter
+	var buf byteCounter
 	if err := trace.WriteGzip(&buf, t); err != nil {
 		panic(err)
 	}
@@ -203,9 +203,9 @@ func profileSize(name string, t trace.Trace, blockSize uint64) int {
 	return n
 }
 
-type countWriter struct{ n int }
+type byteCounter struct{ n int }
 
-func (w *countWriter) Write(p []byte) (int, error) {
+func (w *byteCounter) Write(p []byte) (int, error) {
 	w.n += len(p)
 	return len(p), nil
 }

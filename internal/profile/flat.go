@@ -73,9 +73,9 @@ type flatOpts struct {
 // FlatNoVerify skips the per-section checksum pass on open, leaving
 // only the header checksum and the structural bounds validation — the
 // O(header + rows) fast path for buffers the caller already trusts
-// (files the serve store wrote itself, buffers just produced by
-// MarshalFlat). Structural validation alone guarantees synthesis
-// cannot index out of bounds; checksums additionally catch bit rot.
+// (serve disk-tier files whose bytes hash to their content address).
+// Structural validation alone guarantees synthesis cannot index out of
+// bounds; checksums additionally catch bit rot.
 func FlatNoVerify() FlatOption { return func(o *flatOpts) { o.noVerify = true } }
 
 // Flat is a profile opened from a flat buffer. Its sections are slice
@@ -86,11 +86,10 @@ func FlatNoVerify() FlatOption { return func(o *flatOpts) { o.noVerify = true } 
 type Flat struct {
 	data []byte
 
-	name      string
-	config    string
-	requests  uint64
-	canonical uint64
-	nLeaves   int
+	name     string
+	config   string
+	requests uint64
+	nLeaves  int
 
 	leafTab  []byte
 	modelTab []byte
@@ -195,7 +194,7 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 		return nil, flatErr("section count %d", sc)
 	}
 	requests := le.Uint64(buf[24:])
-	canonical := le.Uint64(buf[32:])
+	// buf[32:40] is reserved: written as zero, ignored on read.
 	nameLen := le.Uint32(buf[40:])
 	configLen := le.Uint32(buf[44:])
 	wantHdrCRC := le.Uint32(buf[48:])
@@ -233,21 +232,20 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 		return nil, flatErr("string lengths exceed section")
 	}
 	f := &Flat{
-		data:      buf,
-		name:      string(secs[secStrings][:nameLen]),
-		config:    string(secs[secStrings][nameLen:]),
-		requests:  requests,
-		canonical: canonical,
-		nLeaves:   int(nLeaves),
-		leafTab:   secs[secLeafTab],
-		modelTab:  secs[secModels],
-		rowFrom:   sliceI64(secs[secRowFrom]),
-		rowOff:    sliceU32(secs[secRowOff]),
-		rowSum:    sliceU64(secs[secRowSum]),
-		edgeTo:    sliceI64(secs[secEdgeTo]),
-		edgeN:     sliceU32(secs[secEdgeN]),
-		valVal:    sliceI64(secs[secValVal]),
-		valN:      sliceU32(secs[secValN]),
+		data:     buf,
+		name:     string(secs[secStrings][:nameLen]),
+		config:   string(secs[secStrings][nameLen:]),
+		requests: requests,
+		nLeaves:  int(nLeaves),
+		leafTab:  secs[secLeafTab],
+		modelTab: secs[secModels],
+		rowFrom:  sliceI64(secs[secRowFrom]),
+		rowOff:   sliceU32(secs[secRowOff]),
+		rowSum:   sliceU64(secs[secRowSum]),
+		edgeTo:   sliceI64(secs[secEdgeTo]),
+		edgeN:    sliceU32(secs[secEdgeN]),
+		valVal:   sliceI64(secs[secValVal]),
+		valN:     sliceU32(secs[secValN]),
 	}
 	if uint64(len(f.leafTab)) != uint64(nLeaves)*leafRecBytes {
 		return nil, flatErr("leaf table holds %d bytes for %d leaves", len(f.leafTab), nLeaves)
@@ -321,11 +319,6 @@ func (f *Flat) Config() string { return f.config }
 
 // Size returns the encoded size in bytes.
 func (f *Flat) Size() int { return len(f.data) }
-
-// CanonicalBytes returns the size of the profile's canonical varint
-// encoding (the stream content addressing hashes), or 0 when the
-// encoder did not record it.
-func (f *Flat) CanonicalBytes() int64 { return int64(f.canonical) }
 
 // Bytes returns the underlying encoded buffer. Callers must treat it
 // as read-only; for an mmap-ed Flat it is only valid until Close.
@@ -462,25 +455,12 @@ func countFlat(p *Profile) (flatCounts, error) {
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-// MarshalFlat encodes the profile in the flat format. The canonical
-// (varint) encoding size is measured and recorded in the header so a
-// flat file preserves the byte accounting content addressing uses.
-func MarshalFlat(p *Profile) ([]byte, error) { return MarshalFlatTo(p, nil) }
-
-// MarshalFlatTo is MarshalFlat that also streams the canonical encoding
-// it measures to canon (when non-nil), so a caller hashing that
-// encoding for a content address gets it from the same pass.
-func MarshalFlatTo(p *Profile, canon io.Writer) ([]byte, error) {
+// MarshalFlat encodes the profile in the flat format. The encoding is
+// a deterministic function of p, padding included, so equal profiles
+// encode to equal bytes.
+func MarshalFlat(p *Profile) ([]byte, error) {
 	c, err := countFlat(p)
 	if err != nil {
-		return nil, err
-	}
-	var cw countWriter
-	var w io.Writer = &cw
-	if canon != nil {
-		w = io.MultiWriter(&cw, canon)
-	}
-	if err := Write(w, p); err != nil {
 		return nil, err
 	}
 
@@ -513,7 +493,6 @@ func MarshalFlatTo(p *Profile, canon io.Writer) ([]byte, error) {
 	le.PutUint32(buf[16:], uint32(nLeaves))
 	le.PutUint32(buf[20:], flatSections)
 	le.PutUint64(buf[24:], uint64(p.Requests()))
-	le.PutUint64(buf[32:], uint64(cw))
 	le.PutUint32(buf[40:], uint32(len(p.Name)))
 	le.PutUint32(buf[44:], uint32(len(p.Config)))
 
@@ -606,15 +585,6 @@ func WriteFlat(w io.Writer, p *Profile) error {
 	}
 	_, err = w.Write(buf)
 	return err
-}
-
-// countWriter counts bytes written, for measuring the canonical
-// encoding without materialising it.
-type countWriter uint64
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	*c += countWriter(len(p))
-	return len(p), nil
 }
 
 // SniffFlat reports whether the buffer starts with the flat profile

@@ -32,27 +32,40 @@ func TestFitLeafEmpty(t *testing.T) {
 
 // TestBuildParallelDeterminism asserts the tentpole guarantee: the same
 // trace and config through Build at different worker counts must encode
-// to byte-identical profiles.
+// to byte-identical profiles, for every hierarchy shape — streamable
+// temporal first layers and the materialising fallback a spatial first
+// layer drives.
 func TestBuildParallelDeterminism(t *testing.T) {
 	tr := sampleTrace()
-	cfg := partition.TwoLevelTS(1000)
-
-	encode := func(workers int) []byte {
-		p, err := Build("sample", tr, cfg, Workers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	cfgs := map[string]partition.Config{
+		"2L-TS":          partition.TwoLevelTS(1000),
+		"reqcount-dyn":   partition.TwoLevelRequestCount(64, 0),
+		"reqcount-fixed": partition.TwoLevelRequestCount(64, 4096),
+		"cycles-only":    {Layers: []partition.Layer{{Kind: partition.TemporalCycleCount, Param: 700}}},
+		"spatial-first": {Layers: []partition.Layer{
+			{Kind: partition.SpatialFixed, Param: 1 << 14},
+			{Kind: partition.TemporalRequestCount, Param: 32},
+		}},
 	}
-
-	serial := encode(1)
-	for _, workers := range []int{2, 8, 16} {
-		if got := encode(workers); !bytes.Equal(got, serial) {
-			t.Fatalf("workers=%d: encoded profile differs from serial build", workers)
-		}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			encode := func(workers int) []byte {
+				p, err := Build("sample", tr, cfg, Workers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := Write(&buf, p); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			serial := encode(1)
+			for _, workers := range []int{2, 8, 16} {
+				if got := encode(workers); !bytes.Equal(got, serial) {
+					t.Fatalf("workers=%d: encoded profile differs from serial build", workers)
+				}
+			}
+		})
 	}
 }

@@ -10,8 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-// encodeProfile canonically encodes p, the same bytes content
-// addressing hashes.
+// encodeProfile canonically encodes p.
 func encodeProfile(t *testing.T, p *Profile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -19,43 +18,6 @@ func encodeProfile(t *testing.T, p *Profile) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestBuildStreamMatchesBuild is the acceptance identity: for every
-// hierarchy shape (streamable and fallback) and worker count, the
-// streaming build must encode byte-identically to the materialised
-// build — the property that makes the two paths share one content
-// address.
-func TestBuildStreamMatchesBuild(t *testing.T) {
-	tr := sampleTrace()
-	cfgs := map[string]partition.Config{
-		"2L-TS":          partition.TwoLevelTS(1000),
-		"reqcount-dyn":   partition.TwoLevelRequestCount(64, 0),
-		"reqcount-fixed": partition.TwoLevelRequestCount(64, 4096),
-		"cycles-only":    {Layers: []partition.Layer{{Kind: partition.TemporalCycleCount, Param: 700}}},
-		"spatial-first": {Layers: []partition.Layer{
-			{Kind: partition.SpatialFixed, Param: 1 << 14},
-			{Kind: partition.TemporalRequestCount, Param: 32},
-		}},
-	}
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			built, err := Build("sample", tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := encodeProfile(t, built)
-			for _, workers := range []int{1, 4} {
-				streamed, err := BuildStream("sample", trace.NewSliceReader(tr), cfg, Workers(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := encodeProfile(t, streamed); !bytes.Equal(got, want) {
-					t.Fatalf("workers=%d: streaming build encodes differently from Build", workers)
-				}
-			}
-		})
-	}
 }
 
 // TestBuildStreamEmpty: an empty stream yields an empty (but valid)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/profile"
 )
 
 // Cluster metrics. Pushes/receives count replication traffic, fetches
@@ -167,13 +166,17 @@ func (c *cluster) replicate(ctx context.Context, id string, flat []byte) {
 	obs.FromContext(ctx).Debug("cluster: replicated profile to owner", "id", id, "owner", owner)
 }
 
+// errNotInCluster reports that no reachable peer served a profile.
+var errNotInCluster = errors.New("serve: profile not found in the cluster")
+
 // fetch pulls profile id from the cluster — the ring owner first, then
 // the rest of the preference sequence — over the flat .mfp wire format
-// (GET ?download=flat). The decoded profile's content address must
-// match the requested id; a peer serving different bytes under that
-// name is treated as an error, not a result. It returns nil (with
-// fetch_misses counted) when no reachable peer holds the profile.
-func (c *cluster) fetch(ctx context.Context, id string, maxBytes int64) *profile.Profile {
+// (GET ?download=flat), handing each body to admit, which verifies it
+// against id and stores it. A body admit rejects counts as a peer
+// error and the next peer is tried, except that ErrStoreFull is
+// returned at once. It returns errNotInCluster (with fetch_misses
+// counted) when no reachable peer supplied an admissible body.
+func (c *cluster) fetch(ctx context.Context, id string, maxBytes int64, admit func(flat []byte) error) error {
 	log := obs.FromContext(ctx)
 	for _, peer := range c.peerSequence(id) {
 		resp, err := c.do(ctx, http.MethodGet, peer+"/v1/profiles/"+id+"?download=flat", nil)
@@ -198,37 +201,20 @@ func (c *cluster) fetch(ctx context.Context, id string, maxBytes int64) *profile
 			log.Warn("cluster: fetch body failed", "id", id, "peer", peer, "bytes", len(buf), "err", err)
 			continue
 		}
-		p, err := decodeVerifiedProfile(id, buf)
-		if err != nil {
+		if err := admit(buf); err != nil {
+			if errors.Is(err, ErrStoreFull) {
+				return err
+			}
 			mClusterPeerErrors.Inc()
 			log.Warn("cluster: fetched profile rejected", "id", id, "peer", peer, "err", err)
 			continue
 		}
 		mClusterFetches.Inc()
 		log.Debug("cluster: fetched profile from peer", "id", id, "peer", peer, "bytes", len(buf))
-		return p
+		return nil
 	}
 	mClusterFetchMisses.Inc()
-	return nil
-}
-
-// decodeVerifiedProfile opens a flat-encoded profile and verifies that
-// its canonical content address is exactly the id it was requested or
-// announced under.
-func decodeVerifiedProfile(id string, flat []byte) (*profile.Profile, error) {
-	f, err := profile.OpenFlat(flat)
-	if err != nil {
-		return nil, err
-	}
-	p := f.Profile()
-	got, _, err := ProfileID(p)
-	if err != nil {
-		return nil, err
-	}
-	if got != id {
-		return nil, fmt.Errorf("serve: content address mismatch: got %s, want %s", got, id)
-	}
-	return p, nil
+	return errNotInCluster
 }
 
 // forwardMeta proxies a metadata read to the cluster, returning the

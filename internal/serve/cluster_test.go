@@ -259,9 +259,32 @@ func TestClusterReplicateRejectsMismatchedID(t *testing.T) {
 	}
 }
 
+// A replicate frame carrying an honest ID over a payload that does not
+// hash to it is refused, even when the payload's transition counts
+// (and so its canonical encoding) match the honest profile's.
+func TestClusterReplicateRejectsPoisonedPayload(t *testing.T) {
+	_, tss := newTestCluster(t, 2, Config{})
+	p := testProfile(t, 3)
+	id, _, err := ProfileID(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := encodeFrame(id, flatBytes(t, poisoned(t, p)))
+	resp, err := http.Post(tss[0].URL+"/v1/cluster/replicate", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("poisoned payload: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // A flat-encoded upload to the public endpoint content-addresses
 // identically to the gzip canonical upload of the same profile — the
-// encoding is sniffed, the address is canonical.
+// encoding is sniffed, and a gz upload is admitted as its flat
+// encoding, which is a deterministic function of the profile.
 func TestUploadFlatProfile(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	p := testProfile(t, 5)

@@ -24,7 +24,7 @@ func Main(prog string, args []string) {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8677", "listen address")
 	shards := fs.Int("shards", DefaultShards, "profile store shard count")
-	budget := fs.String("store-budget", "256MiB", "profile store byte budget (e.g. 64MiB, 1GiB; 0 = unlimited)")
+	budget := fs.String("store-budget", "256MiB", "profile store byte budget, counted in resident flat bytes (e.g. 64MiB, 1GiB; 0 = unlimited)")
 	diskDir := fs.String("disk-dir", "", "disk-tier directory for flat profile files (empty = RAM-only store)")
 	diskBudget := fs.String("disk-budget", "0", "disk-tier byte budget (0 = unlimited); only meaningful with -disk-dir")
 	maxStreams := fs.Int("max-streams", 128, "max concurrent synthesis streams (0 = default, -1 = unlimited)")

@@ -16,8 +16,9 @@ import (
 // eviction is a pure demotion — the flat file is already on disk.
 // Promotions are cold Acquire hits served by mmapping a flat file;
 // mmap_failures count files that existed but could not be mapped or
-// validated (they are unlinked, since the tier is a cache of
-// reconstructible artefacts, not the system of record).
+// validated, and verify_failures files found at startup whose bytes do
+// not hash to their name. Both are unlinked, since the tier is a cache
+// of reconstructible artefacts, not the system of record.
 var (
 	mDiskWrites      = obs.NewCounter("serve.store.disk.writes")
 	mDiskWriteErrors = obs.NewCounter("serve.store.disk.write_errors")
@@ -25,6 +26,7 @@ var (
 	mDiskPromotions  = obs.NewCounter("serve.store.disk.promotions")
 	mDiskEvictions   = obs.NewCounter("serve.store.disk.evictions")
 	mDiskMmapFail    = obs.NewCounter("serve.store.disk.mmap_failures")
+	mDiskVerifyFail  = obs.NewCounter("serve.store.disk.verify_failures")
 	mDiskBytes       = obs.NewGauge("serve.store.disk.bytes")
 	mDiskFiles       = obs.NewGauge("serve.store.disk.files")
 )
@@ -33,9 +35,13 @@ var (
 const flatExt = ".mfp"
 
 // diskFile is one resident flat file, tracked in the tier's LRU.
+// verified is false for a file indexed at startup until its first open
+// has checked that it hashes to its name; a file this process wrote is
+// verified from the start, since putFlat hashed exactly those bytes.
 type diskFile struct {
-	id   string
-	size int64 // file size on disk
+	id       string
+	size     int64 // file size on disk
+	verified bool
 }
 
 // diskTier is the store's second level: content-addressed flat profile
@@ -57,7 +63,10 @@ type diskTier struct {
 
 // newDiskTier opens (creating if needed) the tier directory and indexes
 // any flat files already present — a daemon restarted with the same
-// -disk-dir keeps serving its previously uploaded profiles.
+// -disk-dir keeps serving its previously uploaded profiles. Their names
+// are not trusted: each file is verified against its name on first
+// open, so a file left by a build with another addressing scheme is
+// dropped then.
 func newDiskTier(dir string, budget int64) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: disk tier: %w", err)
@@ -95,12 +104,12 @@ func newDiskTier(dir string, budget int64) (*diskTier, error) {
 func (d *diskTier) path(id string) string { return filepath.Join(d.dir, id+flatExt) }
 
 // write persists buf, the flat encoding of profile id, as a file
-// keyed by id, unless one already exists (then it only refreshes
-// recency). The file is written to a temp name and renamed, so readers
-// never observe a partial file.
+// keyed by id, unless a verified one already exists (then it only
+// refreshes recency). The file is written to a temp name and renamed,
+// so readers never observe a partial file.
 func (d *diskTier) write(id string, buf []byte) error {
 	d.mu.Lock()
-	if el, ok := d.files[id]; ok {
+	if el, ok := d.files[id]; ok && el.Value.(*diskFile).verified {
 		d.lru.MoveToFront(el)
 		d.mu.Unlock()
 		return nil
@@ -130,11 +139,13 @@ func (d *diskTier) write(id string, buf []byte) error {
 	}
 
 	d.mu.Lock()
-	if _, ok := d.files[id]; !ok { // concurrent write of the same id loses harmlessly
-		d.files[id] = d.lru.PushFront(&diskFile{id: id, size: int64(len(buf))})
-		d.bytes += int64(len(buf))
-		d.enforceBudgetLocked()
+	if el, ok := d.files[id]; ok { // a concurrent write, or the unverified file just replaced
+		d.bytes -= el.Value.(*diskFile).size
+		d.lru.Remove(el)
 	}
+	d.files[id] = d.lru.PushFront(&diskFile{id: id, size: int64(len(buf)), verified: true})
+	d.bytes += int64(len(buf))
+	d.enforceBudgetLocked()
 	d.updateGauges()
 	d.mu.Unlock()
 	mDiskWrites.Inc()
@@ -142,16 +153,18 @@ func (d *diskTier) write(id string, buf []byte) error {
 }
 
 // open maps the flat file for id, returning nil when the tier has no
-// such file. Integrity was verified when the file was written (the
-// encoder computed the checksums over the bytes now on disk), so the
-// open skips per-section CRC verification — structural validation
-// still runs, and a damaged file is dropped from the tier rather than
-// served.
+// such file. The open skips per-section CRC verification: a file this
+// process wrote holds the bytes putFlat hashed to id, and a file
+// indexed at startup is hashed against id on its first open, which
+// subsumes the checksums. Structural validation still runs. A file
+// that fails either check is dropped from the tier rather than served.
 func (d *diskTier) open(id string) *profile.Flat {
 	d.mu.Lock()
 	el, ok := d.files[id]
+	var verified bool
 	if ok {
 		d.lru.MoveToFront(el)
+		verified = el.Value.(*diskFile).verified
 	}
 	d.mu.Unlock()
 	if !ok {
@@ -163,6 +176,21 @@ func (d *diskTier) open(id string) *profile.Flat {
 		d.remove(id)
 		return nil
 	}
+	if verified {
+		return f
+	}
+	if flatID(f.Bytes()) != id {
+		f.Close()
+		mDiskVerifyFail.Inc()
+		obs.Logger().Warn("disk tier file does not hash to its name; dropped", "id", id)
+		d.remove(id)
+		return nil
+	}
+	d.mu.Lock()
+	if el, ok := d.files[id]; ok {
+		el.Value.(*diskFile).verified = true
+	}
+	d.mu.Unlock()
 	return f
 }
 

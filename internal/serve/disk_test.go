@@ -6,8 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func newDiskStore(t *testing.T, budget, diskBudget int64) (*Store, string) {
@@ -246,4 +249,81 @@ func TestDiskTierCorruptFileDropped(t *testing.T) {
 	if _, files := s.DiskStats(); files != 0 {
 		t.Fatalf("corrupt file kept in index: %d files", files)
 	}
+}
+
+// A file indexed at startup is not trusted by name: Crypto1's bytes
+// copied over HEVC1's file are caught on the first open, unlinked and
+// counted, and Acquire misses instead of serving Crypto1 as HEVC1.
+func TestDiskTierSubstitutedFileDropped(t *testing.T) {
+	s, dir := newDiskStore(t, 0, 0)
+	ids := map[string]string{}
+	var hevc *profile.Profile
+	for _, name := range []string{"HEVC1", "Crypto1"} {
+		spec, err := workloads.Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := core.Build(name, spec.Gen(), core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, _, err := s.Put(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[name] = meta.ID
+		if name == "HEVC1" {
+			hevc = p
+		}
+	}
+	crypto, err := os.ReadFile(filepath.Join(dir, ids["Crypto1"]+flatExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hevcPath := filepath.Join(dir, ids["HEVC1"]+flatExt)
+	if err := os.WriteFile(hevcPath, crypto, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewTieredStore(StoreConfig{Shards: 1, DiskDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mDiskVerifyFail.Value()
+	if pin, ok := s2.Acquire(ids["HEVC1"]); ok {
+		pin.Release()
+		t.Fatalf("substituted file served as HEVC1 (%s)", pin.Meta().Name)
+	}
+	if got := mDiskVerifyFail.Value() - before; got != 1 {
+		t.Fatalf("verify_failures rose by %d, want 1", got)
+	}
+	if _, err := os.Stat(hevcPath); !os.IsNotExist(err) {
+		t.Fatalf("substituted file not unlinked: %v", err)
+	}
+	// The honest file still verifies and serves.
+	pin, ok := s2.Acquire(ids["Crypto1"])
+	if !ok {
+		t.Fatal("honest file missed after restart")
+	}
+	pin.Release()
+	checkAddresses(t, s2)
+
+	// An upload of the real profile replaces a substituted file that
+	// has not been opened yet, so the profile survives demotion.
+	if err := os.WriteFile(hevcPath, crypto, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := NewTieredStore(StoreConfig{Shards: 1, DiskDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s3.Put(hevc); err != nil || !s3.Demote(ids["HEVC1"]) {
+		t.Fatalf("re-upload and demote of HEVC1 failed: %v", err)
+	}
+	pin, ok = s3.Acquire(ids["HEVC1"])
+	if !ok || pin.Meta().Name != "HEVC1" {
+		t.Fatalf("re-uploaded HEVC1 not served from its rewritten file (ok=%v)", ok)
+	}
+	pin.Release()
+	checkAddresses(t, s3)
 }

@@ -38,7 +38,7 @@ var (
 type Config struct {
 	// Shards is the profile-store shard count (0 = DefaultShards).
 	Shards int
-	// StoreBudget bounds the store's resident canonical-encoded profile
+	// StoreBudget bounds the store's resident flat-encoded profile
 	// bytes (0 = DefaultStoreBudget, < 0 = unlimited).
 	StoreBudget int64
 	// MaxStreams caps concurrent synthesis streams (0 = 128).
@@ -92,8 +92,8 @@ type Config struct {
 	TraceRing int
 }
 
-// DefaultStoreBudget is the default profile-store byte budget (256 MiB
-// of canonical profile encoding).
+// DefaultStoreBudget is the default profile-store byte budget: 256 MiB
+// of resident flat profile bytes.
 const DefaultStoreBudget = 256 << 20
 
 func (c Config) withDefaults() Config {
@@ -424,7 +424,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
+	// Every kind of upload is admitted as a flat buffer: a flat upload
+	// as sent, anything else as the flat encoding of what it decodes or
+	// fits to.
 	var p *profile.Profile
+	var flat []byte
 	switch opts.Kind {
 	case KindProfile:
 		// The profile encoding is sniffed, not configured: peers
@@ -432,23 +436,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// canonical, and both land here.
 		br := bufio.NewReader(body)
 		if hdr, _ := br.Peek(8); profile.SniffFlat(hdr) {
-			data, rerr := io.ReadAll(br)
+			flat, err = io.ReadAll(br)
 			var maxBytesErr *http.MaxBytesError
-			if errors.As(rerr, &maxBytesErr) {
+			if errors.As(err, &maxBytesErr) {
 				writeError(w, http.StatusRequestEntityTooLarge,
 					"upload exceeds the %d-byte body limit", s.cfg.MaxUploadBytes)
 				return
 			}
-			if rerr != nil {
-				writeError(w, http.StatusBadRequest, "reading profile: %v", rerr)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "reading profile: %v", err)
 				return
 			}
-			f, ferr := profile.OpenFlat(data)
-			if ferr != nil {
-				writeError(w, http.StatusBadRequest, "decoding flat profile: %v", ferr)
-				return
-			}
-			p = f.Profile()
 		} else if p, err = profile.ReadGzip(br); err != nil {
 			writeError(w, http.StatusBadRequest, "decoding profile: %v", err)
 			return
@@ -509,19 +507,20 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		mFitsServed.Inc()
 	}
-	meta, flat, added, err := s.store.put(p)
-	if errors.Is(err, ErrStoreFull) {
-		writeError(w, http.StatusInsufficientStorage, "%v", err)
-		return
+	if p != nil {
+		if flat, err = profile.MarshalFlat(p); err != nil {
+			writeError(w, http.StatusInternalServerError, "encoding profile: %v", err)
+			return
+		}
 	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	meta, added, err := s.store.putFlat(flat, "")
+	if writePutError(w, err) {
 		return
 	}
 	// A newly-admitted profile is pushed to its ring owner before the
 	// response is written, so by the time the uploader learns the ID,
 	// any node in the cluster can already resolve it at its canonical
-	// location. The push sends the flat bytes the store just encoded.
+	// location. The push sends the flat bytes the store just admitted.
 	// Peer-marked uploads never re-replicate.
 	if added {
 		if c := s.cluster.Load(); c != nil && !isPeer(r) {
@@ -537,6 +536,24 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	obs.FromContext(r.Context()).Debug("profile stored",
 		"id", meta.ID, "name", meta.Name, "leaves", meta.Leaves, "deduped", !added)
 	writeJSON(w, status, uploadResponse{Meta: meta, Deduped: !added})
+}
+
+// writePutError answers a failed admission — 507 when the store is
+// full, 400 when the bytes are not a valid flat profile or do not hash
+// to the ID they were sent under, 500 otherwise — and reports whether
+// there was an error to answer.
+func writePutError(w http.ResponseWriter, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case errors.Is(err, ErrStoreFull):
+		writeError(w, http.StatusInsufficientStorage, "%v", err)
+	case errors.Is(err, profile.ErrFlatFormat), errors.Is(err, errAddressMismatch):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
+	return true
 }
 
 // Download media types. Flat downloads are the stored zero-copy
@@ -569,18 +586,17 @@ func (s *Server) acquireOrFetch(w http.ResponseWriter, r *http.Request, id strin
 		return nil, false
 	}
 	ctx, fetch := obs.Start(r.Context(), "cluster.fetch")
-	p := c.fetch(ctx, id, s.cfg.MaxUploadBytes)
+	err := c.fetch(ctx, id, s.cfg.MaxUploadBytes, func(flat []byte) error {
+		_, _, err := s.store.putFlat(flat, id)
+		return err
+	})
 	fetch.End()
-	if p == nil {
-		writeError(w, http.StatusNotFound, "no profile %q in the cluster", id)
+	if errors.Is(err, ErrStoreFull) {
+		writeError(w, http.StatusInsufficientStorage, "%v", err)
 		return nil, false
 	}
-	if _, _, err := s.store.Put(p); err != nil {
-		if errors.Is(err, ErrStoreFull) {
-			writeError(w, http.StatusInsufficientStorage, "%v", err)
-		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+	if err != nil {
+		writeError(w, http.StatusNotFound, "no profile %q in the cluster", id)
 		return nil, false
 	}
 	pin, ok = s.store.Acquire(id)
@@ -649,8 +665,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicate admits a profile pushed by a cluster peer: one
 // replication frame carrying the claimed content address and the flat
-// profile bytes. The address is recomputed from the decoded payload
-// and must match — a peer cannot plant bytes under a foreign ID.
+// profile bytes. The payload must hash to that address, which is
+// checked before it is decoded — a peer cannot plant bytes under a
+// foreign ID.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.cluster.Load() == nil {
 		writeError(w, http.StatusServiceUnavailable, "node is not clustered")
@@ -670,18 +687,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p, err := decodeVerifiedProfile(id, payload)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "replicated profile rejected: %v", err)
-		return
-	}
-	meta, added, err := s.store.Put(p)
-	if errors.Is(err, ErrStoreFull) {
-		writeError(w, http.StatusInsufficientStorage, "%v", err)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	meta, added, err := s.store.putFlat(payload, id)
+	if writePutError(w, err) {
 		return
 	}
 	mClusterReplReceived.Inc()

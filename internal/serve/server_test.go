@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -545,7 +547,8 @@ func await(cond func() bool) {
 // profile's pin is released and the active-stream gauge returns to
 // zero shortly after the close.
 func TestSynthClientDisconnect(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	// One shard, so the default budget admits the ~30 MB flat profile.
+	s, ts := newTestServer(t, Config{Shards: 1})
 	// A bigger trace so the stream (~6 MB encoded) far exceeds socket
 	// buffering: the server must block mid-write until the client reads.
 	p, err := core.Build("big", testTrace(1, 300_000), core.DefaultConfig())
@@ -699,6 +702,10 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 		if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, meta.ID+flatExt) {
 			t.Fatalf("Content-Disposition %q lacks flat filename", cd)
 		}
+		// The body is the content-addressed bytes themselves.
+		if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != meta.ID {
+			t.Fatalf("flat body hashes to %x, not its ID %s", sum, meta.ID)
+		}
 		f, err := profile.OpenFlat(body)
 		if err != nil {
 			t.Fatalf("flat body does not open: %v", err)
@@ -734,6 +741,75 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 	}
 	checkStored("1")
 	checkGz(get("gz"))
+}
+
+// poisoned returns a copy of p whose flat encoding keeps p's transition
+// counts but swaps two multiplicities of one Markov model's value
+// multiset without re-deriving it: synthesis from it differs from p,
+// while p's canonical varint encoding does not see the change.
+func poisoned(t *testing.T, p *profile.Profile) *profile.Profile {
+	t.Helper()
+	buf, err := profile.MarshalFlat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := profile.OpenFlat(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := f.Profile()
+	for i := range q.Leaves {
+		m := &q.Leaves[i].Op
+		if !m.Constant && len(m.ValN) >= 2 && m.ValN[0] != m.ValN[1] {
+			m.ValN[0], m.ValN[1] = m.ValN[1], m.ValN[0]
+			return q
+		}
+	}
+	t.Fatal("no leaf with a two-valued op model to poison")
+	return nil
+}
+
+// A flat upload whose derived tables disagree with its transition
+// counts cannot take the honest profile's address: the address hashes
+// the bytes synthesis reads, so the honest gz upload that follows is
+// stored as itself and streams exactly what offline synthesis does.
+func TestFlatUploadCannotPoisonAddress(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	p := testProfile(t, 7)
+	post := func(body []byte) uploadResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/profiles", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ur uploadResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil || resp.StatusCode/100 != 2 {
+			t.Fatalf("upload: status %d err %v", resp.StatusCode, err)
+		}
+		return ur
+	}
+	bad, err := profile.MarshalFlat(poisoned(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badMeta := post(bad)
+	meta := post(gzProfileBody(t, p).Bytes())
+	if meta.Deduped || meta.ID == badMeta.ID {
+		t.Fatalf("honest upload deduped onto the poisoned one (%s)", badMeta.ID)
+	}
+	resp, err := http.Post(ts.URL+"/v1/profiles/"+meta.ID+"/synth?seed=7&format=bin", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("synth: status %d err %v", resp.StatusCode, err)
+	}
+	if !bytes.Equal(got, offlineBin(t, p, 7, 0)) {
+		t.Fatal("stream on the honest ID differs from offline synthesis")
+	}
 }
 
 // TestSynthColdHitByteIdentical streams the same synthesis twice over

@@ -46,9 +46,9 @@ const DefaultShards = 16
 // profile alone exceeds a shard's budget).
 var ErrStoreFull = errors.New("serve: store budget exhausted")
 
-// Meta describes one stored profile. Bytes is the size of the profile's
-// canonical (uncompressed varint) encoding — the quantity the store's
-// byte budget is accounted in, and the basis of its content address.
+// Meta describes one stored profile. ID is the hex SHA-256 of the
+// flat bytes the store holds and Bytes is their length — the quantity
+// the store's byte budget is accounted in.
 type Meta struct {
 	ID       string `json:"id"`
 	Name     string `json:"name"`
@@ -86,7 +86,9 @@ type shard struct {
 }
 
 // Store is a sharded, reference-counted, content-addressed profile
-// cache. Profiles are keyed by the SHA-256 of their canonical encoding,
+// cache. Profiles are keyed by the SHA-256 of the flat bytes it holds
+// and serves, so an ID names exactly the bytes synthesis reads. A
+// profile's flat encoding is a deterministic function of the profile,
 // so identical uploads dedupe regardless of how they were produced
 // (pre-fit upload vs in-process fit of the same trace). All methods are
 // safe for concurrent use.
@@ -108,9 +110,8 @@ type Store struct {
 type StoreConfig struct {
 	// Shards is the RAM-tier shard count (<= 0 selects DefaultShards).
 	Shards int
-	// Budget bounds resident profiles in RAM, counted in canonical
-	// encoding bytes (Meta.Bytes) rather than the larger flat buffers
-	// actually held (<= 0 means unlimited).
+	// Budget bounds resident profiles in RAM, counted in the flat
+	// bytes actually held (Meta.Bytes; <= 0 means unlimited).
 	Budget int64
 	// DiskDir, when non-empty, enables the disk tier: every upload is
 	// written through as a content-addressed flat file, RAM eviction
@@ -163,26 +164,19 @@ func NewTieredStore(cfg StoreConfig) (*Store, error) {
 }
 
 // ProfileID returns the store's content address for p — the hex SHA-256
-// of its canonical encoding — along with the encoded size in bytes. The
-// encoding streams through the hash; nothing is buffered.
+// of its flat encoding — along with that encoding's size in bytes.
 func ProfileID(p *profile.Profile) (id string, size int64, err error) {
-	h := sha256.New()
-	cw := &countingHashWriter{w: h}
-	if err := profile.Write(cw, p); err != nil {
+	buf, err := profile.MarshalFlat(p)
+	if err != nil {
 		return "", 0, fmt.Errorf("serve: encoding profile for addressing: %w", err)
 	}
-	return hex.EncodeToString(h.Sum(nil)), cw.n, nil
+	return flatID(buf), int64(len(buf)), nil
 }
 
-type countingHashWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingHashWriter) Write(b []byte) (int, error) {
-	n, err := c.w.Write(b)
-	c.n += int64(n)
-	return n, err
+// flatID is the content address of a flat buffer.
+func flatID(buf []byte) string {
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // shardFor maps a profile ID to its shard by FNV-1a.
@@ -201,27 +195,32 @@ func (s *Store) shardFor(id string) *shard {
 // enough space, Put returns ErrStoreFull and the store is left
 // unchanged.
 func (s *Store) Put(p *profile.Profile) (Meta, bool, error) {
-	meta, _, added, err := s.put(p)
-	return meta, added, err
+	buf, err := profile.MarshalFlat(p)
+	if err != nil {
+		return Meta{}, false, fmt.Errorf("serve: encoding profile: %w", err)
+	}
+	return s.putFlat(buf, "")
 }
 
-// put is Put that also returns p's flat encoding — the bytes the
-// store holds under the returned ID — for callers that forward them
-// (replication).
-func (s *Store) put(p *profile.Profile) (Meta, []byte, bool, error) {
-	// One canonical encoding pass yields both the flat buffer and, via
-	// the hash it streams through, the content address.
-	h := sha256.New()
-	buf, err := profile.MarshalFlatTo(p, h)
-	if err != nil {
-		return Meta{}, nil, false, fmt.Errorf("serve: encoding profile: %w", err)
+// errAddressMismatch rejects flat bytes offered under an ID they do
+// not hash to.
+var errAddressMismatch = errors.New("serve: content address mismatch")
+
+// putFlat is the store's one admission path: Put, uploads, replication
+// frames and cluster fetches all end here. buf is a flat profile that
+// the store owns from here on, addressed by its SHA-256. A non-empty
+// claim — the ID a peer sent the bytes under — must equal that hash,
+// which is checked before any decode. buf is then opened with every
+// check, checksums included. Otherwise it behaves as Put.
+func (s *Store) putFlat(buf []byte, claim string) (Meta, bool, error) {
+	id := flatID(buf)
+	if claim != "" && claim != id {
+		return Meta{}, false, fmt.Errorf("%w: bytes hash to %s, not %s", errAddressMismatch, id, claim)
 	}
-	// The encoder just produced buf, so its checksums need no re-check.
-	f, err := profile.OpenFlat(buf, profile.FlatNoVerify())
+	f, err := profile.OpenFlat(buf)
 	if err != nil {
-		return Meta{}, nil, false, fmt.Errorf("serve: opening encoded profile: %w", err)
+		return Meta{}, false, err
 	}
-	id := hex.EncodeToString(h.Sum(nil))
 	meta := flatMeta(id, f)
 	// Write through to the disk tier before taking the shard lock: once
 	// the flat file exists, RAM eviction is a pure demotion (drop the
@@ -238,13 +237,13 @@ func (s *Store) put(p *profile.Profile) (Meta, []byte, bool, error) {
 	if e, ok := sh.entries[id]; ok {
 		sh.lru.MoveToFront(e.elem)
 		mStoreDedupe.Inc()
-		return e.meta, buf, false, nil
+		return e.meta, false, nil
 	}
 	if err := s.admit(sh, &entry{meta: meta, flat: f}); err != nil {
-		return Meta{}, nil, false, err
+		return Meta{}, false, err
 	}
 	mStoreUploads.Inc()
-	return meta, buf, true, nil
+	return meta, true, nil
 }
 
 // admit inserts a fully-constructed entry into sh, evicting to make
@@ -386,9 +385,9 @@ func (s *Store) Acquire(id string) (*Pin, bool) {
 }
 
 // flatMeta builds store metadata from a flat profile's header, for
-// both a fresh upload (put computed id) and a disk-tier promotion (id
-// is trusted from the file name: it was content-addressed when
-// written, and the tier directory is owned by the store).
+// both a fresh upload (putFlat hashed the bytes to id) and a disk-tier
+// promotion (the file was hashed to id when written or on its first
+// open).
 func flatMeta(id string, f *profile.Flat) Meta {
 	return Meta{
 		ID:       id,
@@ -396,7 +395,7 @@ func flatMeta(id string, f *profile.Flat) Meta {
 		Config:   f.Config(),
 		Leaves:   f.NumLeaves(),
 		Requests: uint64(f.Requests()),
-		Bytes:    f.CanonicalBytes(),
+		Bytes:    int64(f.Size()),
 	}
 }
 
@@ -497,7 +496,7 @@ func (s *Store) List() []Meta {
 	return all
 }
 
-// Bytes returns the total canonical-encoded bytes resident in RAM.
+// Bytes returns the total flat-encoded bytes resident in RAM.
 func (s *Store) Bytes() int64 { return s.totalBytes.Load() }
 
 // Len returns the number of profiles resident in RAM.

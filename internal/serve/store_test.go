@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,6 +42,24 @@ func testProfile(t testing.TB, seed uint64) *profile.Profile {
 	return p
 }
 
+// checkAddresses pins every profile s can serve and checks that its
+// ID is the SHA-256 of the bytes it holds and Bytes their length.
+func checkAddresses(t *testing.T, s *Store) {
+	t.Helper()
+	for _, m := range s.List() {
+		pin, ok := s.Acquire(m.ID)
+		if !ok {
+			t.Fatalf("listed profile %s does not pin", m.ID)
+		}
+		buf := pin.View().Bytes()
+		sum := sha256.Sum256(buf)
+		if got := hex.EncodeToString(sum[:]); got != m.ID || pin.Meta().Bytes != int64(len(buf)) {
+			t.Errorf("profile %s holds %d bytes hashing to %s, meta says %d bytes", m.ID, len(buf), got, pin.Meta().Bytes)
+		}
+		pin.Release()
+	}
+}
+
 func TestStorePutAcquireDedupe(t *testing.T) {
 	s := NewStore(4, 0)
 	p := testProfile(t, 1)
@@ -50,8 +70,15 @@ func TestStorePutAcquireDedupe(t *testing.T) {
 	if meta.ID == "" || meta.Bytes <= 0 || meta.Requests != 300 {
 		t.Fatalf("bad meta: %+v", meta)
 	}
-	// Put's single encoding pass addresses and sizes the profile
-	// exactly as ProfileID does.
+	// The address is the SHA-256 of the flat encoding, and the size
+	// its length.
+	flat, err := profile.MarshalFlat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(flat); meta.ID != hex.EncodeToString(sum[:]) || meta.Bytes != int64(len(flat)) {
+		t.Fatalf("Put addressed %s (%d bytes), want sha256 %x of %d flat bytes", meta.ID, meta.Bytes, sum, len(flat))
+	}
 	if id, size, _ := ProfileID(p); meta.ID != id || meta.Bytes != size {
 		t.Fatalf("Put addressed %s (%d bytes), ProfileID %s (%d bytes)", meta.ID, meta.Bytes, id, size)
 	}
@@ -76,6 +103,7 @@ func TestStorePutAcquireDedupe(t *testing.T) {
 	}
 	pin.Release()
 	pin.Release() // idempotent
+	checkAddresses(t, s)
 
 	if _, ok := s.Acquire("no-such-id"); ok {
 		t.Fatal("Acquire invented a profile")

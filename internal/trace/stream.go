@@ -20,15 +20,15 @@ import (
 // stream stops pulling from a Synthesizer within one refill chunk.
 const cancelCheckEvery = 256
 
-// countWriter counts the bytes that reach the underlying writer, so the
+// egressCounter counts the bytes that reach the underlying writer, so the
 // encoders can report egress even when an error or cancellation cuts
 // the stream short.
-type countWriter struct {
+type egressCounter struct {
 	w io.Writer
 	n int64
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
+func (c *egressCounter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
@@ -54,7 +54,7 @@ func ctxErr(ctx context.Context) error {
 // written to w — on cancellation or error, the bytes that made it out
 // before the abort.
 func WriteBinaryStream(ctx context.Context, w io.Writer, n uint64, next func() (Request, bool)) (int64, error) {
-	cw := &countWriter{w: w}
+	cw := &egressCounter{w: w}
 	bw := bufio.NewWriterSize(cw, streamBufSize)
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
@@ -92,7 +92,7 @@ func WriteBinaryStream(ctx context.Context, w io.Writer, n uint64, next func() (
 // exhausted. CSV carries no length header, so the stream may end at any
 // point. It returns the bytes written to w.
 func WriteCSVStream(ctx context.Context, w io.Writer, next func() (Request, bool)) (int64, error) {
-	cw := &countWriter{w: w}
+	cw := &egressCounter{w: w}
 	bw := bufio.NewWriterSize(cw, streamBufSize)
 	if _, err := fmt.Fprintln(bw, "time,op,addr,size"); err != nil {
 		return cw.n, err
