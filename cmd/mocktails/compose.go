@@ -103,10 +103,11 @@ func cmdCompose(args []string) {
 }
 
 // dirResolver resolves content addresses against a directory of
-// profile files. Like the daemon's disk tier it trusts the filename:
-// the file <id>.mfp (or <id>.profile.gz) is taken to be the profile
-// with that address without re-hashing — appropriate for a directory
-// the user populated from trusted downloads. Flat files are
+// profile files. Unlike the daemon's disk tier, which hashes each file
+// against its name on first open, this offline resolver trusts the
+// directory: the file <id>.mfp (or <id>.profile.gz) is taken to be the
+// profile with that address without re-hashing — appropriate for a
+// directory the user populated from trusted downloads. Flat files are
 // memory-mapped and synthesized zero-copy.
 func dirResolver(dir string) scenario.Resolver {
 	return func(id string) (profile.View, func(), error) {

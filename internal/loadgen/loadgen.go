@@ -5,9 +5,9 @@
 // the previous completes — measures capacity) and open-loop (requests
 // arrive on a fixed schedule regardless of completions — measures
 // behaviour at a target rate, exposing queueing delay that closed
-// loops hide). Latencies land in an internal/obs nanosecond histogram,
-// so the reported P50/P95/P99 use the same decade buckets as the
-// daemon's own request metrics.
+// loops hide). Every successful request's latency is kept, so the
+// reported P50/P95/P99 are exact nearest-rank order statistics, not
+// estimates from histogram buckets.
 package loadgen
 
 import (
@@ -104,13 +104,12 @@ type Result struct {
 	Hist *obs.Histogram
 }
 
-// Row is the JSON shape of one result, a superset of the benchRow
-// format cmd/experiments emits, so bench tooling that reads
-// {name, ns_per_op} parses loadgen output unchanged.
+// Row is the JSON shape of one result. It carries the {name, ns_per_op}
+// keys of `go test -bench` rows, so bench tooling that reads those
+// parses loadgen output unchanged.
 type Row struct {
 	Name     string            `json:"name"`
 	NsPerOp  int64             `json:"ns_per_op"` // mean latency of successful requests
-	Allocs   uint64            `json:"allocs"`    // always 0: kept for benchRow compatibility
 	Mode     string            `json:"mode"`
 	Conc     int               `json:"concurrency"`
 	Requests uint64            `json:"requests"`
@@ -143,7 +142,7 @@ type driver struct {
 
 	mu       sync.Mutex
 	errClass map[string]uint64
-	slowest  []SlowRequest
+	samples  []SlowRequest // every successful measured request; TraceID unset
 }
 
 // maxSlowRequests bounds the per-run slowest-request list.
@@ -185,21 +184,6 @@ func (d *driver) recordError(status int) {
 	}
 	d.errClass[class]++
 	d.mu.Unlock()
-}
-
-// recordSlow keeps the run's top-N slowest successful requests, sorted
-// slowest first.
-func (d *driver) recordSlow(s SlowRequest) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.slowest) == maxSlowRequests && s.Ns <= d.slowest[maxSlowRequests-1].Ns {
-		return
-	}
-	d.slowest = append(d.slowest, s)
-	sort.Slice(d.slowest, func(i, j int) bool { return d.slowest[i].Ns > d.slowest[j].Ns })
-	if len(d.slowest) > maxSlowRequests {
-		d.slowest = d.slowest[:maxSlowRequests]
-	}
 }
 
 // issue sends request i and records it when record is true. The target,
@@ -262,7 +246,19 @@ func (d *driver) issue(ctx context.Context, i uint64, record bool) {
 	}
 	ns := time.Since(start).Nanoseconds()
 	d.hist.Observe(ns)
-	d.recordSlow(SlowRequest{TraceID: sc.TraceID.String(), Index: i, Ns: ns})
+	d.mu.Lock()
+	d.samples = append(d.samples, SlowRequest{Index: i, Ns: ns})
+	d.mu.Unlock()
+}
+
+// orderStat returns the pct-th percentile of desc (sorted slowest
+// first, non-empty) by the nearest-rank definition: the smallest sample
+// with at least ceil(pct·n/100) samples at or below it. There is no
+// interpolation, so the result is always a recorded latency.
+func orderStat(desc []SlowRequest, pct int) int64 {
+	n := len(desc)
+	rank := min(max((pct*n+99)/100, 1), n)
+	return desc[n-rank].Ns
 }
 
 // closed runs count requests (or until the deadline when count == 0)
@@ -389,9 +385,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.QPS = float64(res.Requests) / (float64(res.WallNs) / 1e9)
 	}
 	res.MeanNs = int64(d.hist.Mean())
-	res.P50Ns = d.hist.Quantile(0.50)
-	res.P95Ns = d.hist.Quantile(0.95)
-	res.P99Ns = d.hist.Quantile(0.99)
 	res.Hist = d.hist
 	d.mu.Lock()
 	if len(d.errClass) > 0 {
@@ -400,8 +393,23 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			res.ErrorsByClass[k] = v
 		}
 	}
-	res.Slowest = append([]SlowRequest(nil), d.slowest...)
+	s := d.samples
 	d.mu.Unlock()
+	if len(s) > 0 {
+		sort.Slice(s, func(i, j int) bool {
+			if s[i].Ns != s[j].Ns {
+				return s[i].Ns > s[j].Ns
+			}
+			return s[i].Index < s[j].Index
+		})
+		res.P50Ns = orderStat(s, 50)
+		res.P95Ns = orderStat(s, 95)
+		res.P99Ns = orderStat(s, 99)
+		res.Slowest = append([]SlowRequest(nil), s[:min(len(s), maxSlowRequests)]...)
+		for k := range res.Slowest {
+			res.Slowest[k].TraceID = d.traceContext(res.Slowest[k].Index).TraceID.String()
+		}
+	}
 	return res, ctx.Err()
 }
 

@@ -296,6 +296,34 @@ func TestSlowestRequests(t *testing.T) {
 	}
 }
 
+// Quantiles are nearest-rank order statistics of the recorded
+// latencies, never values interpolated inside a histogram bucket. With
+// fewer than 100 samples p99 is the slowest one, and with five samples
+// Slowest lists every latency, so p50 must be its third entry.
+func TestExactQuantiles(t *testing.T) {
+	_, ts := newStub(t)
+	for _, n := range []int{5, 50} {
+		res, err := Run(context.Background(), Config{
+			Targets:     []string{ts.URL},
+			ProfileID:   "cafe",
+			Concurrency: 2,
+			Requests:    n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.P99Ns != res.Slowest[0].Ns {
+			t.Errorf("n=%d: p99 %d, want the slowest latency %d", n, res.P99Ns, res.Slowest[0].Ns)
+		}
+		if res.P50Ns > res.P95Ns || res.P95Ns > res.P99Ns {
+			t.Errorf("n=%d: quantiles not monotone: p50 %d p95 %d p99 %d", n, res.P50Ns, res.P95Ns, res.P99Ns)
+		}
+		if n == 5 && res.P50Ns != res.Slowest[2].Ns {
+			t.Errorf("n=5: p50 %d, want the median latency %d of %+v", res.P50Ns, res.Slowest[2].Ns, res.Slowest)
+		}
+	}
+}
+
 // The open loop issues requests on the arrival schedule: a 1s run at
 // 200 QPS lands within a loose factor of the target even when every
 // response is instant, and all issued requests are measured.
@@ -342,7 +370,7 @@ func TestRampLevels(t *testing.T) {
 			t.Fatalf("level %d: c=%d requests=%d", i, results[i].Concurrency, results[i].Requests)
 		}
 	}
-	// Row JSON stays compatible with the cmd/experiments bench rows.
+	// Row JSON carries the {name, ns_per_op} keys of bench rows.
 	buf, err := json.Marshal(results[0].Row("serve/c1"))
 	if err != nil {
 		t.Fatal(err)

@@ -126,51 +126,6 @@ func (h *Histogram) Snapshot() (bounds []int64, counts []uint64) {
 	return h.bounds, counts
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) of the recorded
-// observations by linear interpolation within the bucket holding it.
-// The estimate is bounded by the bucket's edges, so it is exact at
-// bucket boundaries and never off by more than one bucket's width; an
-// observation in the +Inf bucket reports the last finite bound. It
-// returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	bounds, counts := h.Snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// rank is the 1-based position of the target observation.
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		if i == len(bounds) {
-			return bounds[len(bounds)-1] // +Inf bucket: clamp to the last bound
-		}
-		lo := int64(0)
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		frac := (float64(rank-cum) - 0.5) / float64(c)
-		return lo + int64(frac*float64(bounds[i]-lo))
-	}
-	return bounds[len(bounds)-1]
-}
-
 // Registry is a named collection of metrics. The zero value is not
 // usable; use NewRegistry. Lookups take a read lock; pipeline packages
 // resolve their metrics once into package variables, so the steady

@@ -201,32 +201,3 @@ func TestHistogramSnapshot(t *testing.T) {
 		t.Fatalf("counts = %v, want 1 in bucket 0 and 2 in bucket 1", counts)
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram(ScaleNs)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %d, want 0", got)
-	}
-	// 100 observations spread uniformly over (1e4, 1e5]: every quantile
-	// must land inside that bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(1e4 + int64(i)*900)
-	}
-	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		got := h.Quantile(q)
-		if got <= 1e4 || got > 1e5 {
-			t.Errorf("Quantile(%g) = %d, want within (1e4, 1e5]", q, got)
-		}
-	}
-	if p10, p90 := h.Quantile(0.1), h.Quantile(0.9); p10 >= p90 {
-		t.Errorf("Quantile not monotone: p10=%d >= p90=%d", p10, p90)
-	}
-	// An observation beyond the last bound clamps to the last finite
-	// bound rather than inventing a value.
-	h2 := newHistogram(ScaleNs)
-	h2.Observe(1e12)
-	bounds := ScaleNs.Bounds()
-	if got := h2.Quantile(0.99); got != bounds[len(bounds)-1] {
-		t.Errorf("+Inf-bucket quantile = %d, want clamp to %d", got, bounds[len(bounds)-1])
-	}
-}

@@ -14,7 +14,6 @@
 package par
 
 import (
-	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -78,28 +77,9 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 // completed. When only one worker is requested (or useful) the loop runs
 // on the calling goroutine with no synchronisation overhead.
 func ForEach(n, workers int, fn func(i int)) {
-	forEach(nil, n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is
-// canceled no further indexes are dispatched (in-flight calls run to
-// completion, so fn never observes a half-processed item) and the
-// context's error is returned. A caller whose output is committed by
-// index must discard it on a non-nil return — an arbitrary suffix of
-// the index space was skipped. A nil ctx never cancels.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	forEach(ctx, n, workers, fn)
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-func forEach(ctx context.Context, n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	canceled := func() bool { return ctx != nil && ctx.Err() != nil }
 	workers = Workers(workers)
 	if workers > n {
 		workers = n
@@ -109,9 +89,6 @@ func forEach(ctx context.Context, n, workers int, fn func(i int)) {
 	if workers == 1 {
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			if canceled() {
-				break
-			}
 			fn(i)
 		}
 		wall := time.Since(start)
@@ -136,7 +113,7 @@ func forEach(ctx context.Context, n, workers int, fn func(i int)) {
 				busyNs.Add(int64(time.Since(workerStart)))
 				wg.Done()
 			}()
-			for !panicked.Load() && !canceled() {
+			for !panicked.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
