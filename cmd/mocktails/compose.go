@@ -107,28 +107,22 @@ func cmdCompose(args []string) {
 // against its name on first open, this offline resolver trusts the
 // directory: the file <id>.mfp (or <id>.profile.gz) is taken to be the
 // profile with that address without re-hashing — appropriate for a
-// directory the user populated from trusted downloads. Flat files are
-// memory-mapped and synthesized zero-copy.
+// directory the user populated from trusted downloads. Either file
+// opens through openProfile, so flat files are memory-mapped and
+// synthesized zero-copy.
 func dirResolver(dir string) scenario.Resolver {
 	return func(id string) (profile.View, func(), error) {
-		flat := filepath.Join(dir, id+".mfp")
-		if _, err := os.Stat(flat); err == nil {
-			f, err := profile.OpenFlatFile(flat)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", flat, err)
+		path := filepath.Join(dir, id+".mfp")
+		if _, err := os.Stat(path); err != nil {
+			path = filepath.Join(dir, id+".profile.gz")
+			if _, err := os.Stat(path); err != nil {
+				return nil, nil, fmt.Errorf("no %s.mfp or %s.profile.gz in %s", id, id, dir)
 			}
-			return f, func() { f.Close() }, nil
 		}
-		gz := filepath.Join(dir, id+".profile.gz")
-		fh, err := os.Open(gz)
+		f, err := openProfile(path)
 		if err != nil {
-			return nil, nil, fmt.Errorf("no %s.mfp or %s.profile.gz in %s", id, id, dir)
+			return nil, nil, err
 		}
-		defer fh.Close()
-		p, err := profile.ReadGzip(fh)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", gz, err)
-		}
-		return p, func() {}, nil
+		return f, func() { f.Close() }, nil
 	}
 }

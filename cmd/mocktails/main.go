@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mocktails profile -in workload.trace.gz -out workload.profile.gz [-format gz|flat] [-interval 500000] [-spatial dynamic|4096] [-j N]
-//	mocktails synth   -in workload.profile.gz -out synthetic.trace.gz [-seed 42] [-n N] [-format gz|bin|csv] [-j N] [-batch N]
+//	mocktails synth   -in workload.profile.gz -out synthetic.trace.gz [-seed 42] [-n N] [-format gz|bin|csv] [-j N]
 //	mocktails compose -spec scenario.json -dir profiles/ [-out -] [-format bin|csv|stats] [-j N]
 //	mocktails convert -in workload.profile.gz -out workload.mfp [-to gz|flat]
 //	mocktails serve   [-addr localhost:8677] [-store-budget 256MiB] [-peers http://h2:8677,...] ...
@@ -25,7 +25,7 @@
 package main
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -98,40 +98,56 @@ func cmdInspect(args []string) {
 	profile.Dump(os.Stdout, readProfile(*in), *leaves)
 }
 
-// isFlatFile sniffs whether path holds a flat-encoded profile.
-func isFlatFile(path string) bool {
-	f, err := os.Open(path)
+// openProfile opens a profile in either encoding as a flat view,
+// sniffing the format from the bytes ("-" reads stdin). A flat file is
+// memory-mapped and flat stdin opens over its buffer; a gz profile is
+// decoded and re-encoded flat, so every caller synthesizes from the
+// same representation the daemon serves from. The caller must Close
+// the result.
+func openProfile(path string) (*profile.Flat, error) {
+	in, err := openInput(path)
 	if err != nil {
-		return false
+		return nil, err
 	}
-	defer f.Close()
-	var hdr [8]byte
-	n, _ := io.ReadFull(f, hdr[:])
-	return profile.SniffFlat(hdr[:n])
+	defer in.Close()
+	name := path
+	if path == "-" {
+		name = "stdin"
+	}
+	br := bufio.NewReader(in)
+	hdr, _ := br.Peek(8)
+	var f *profile.Flat
+	var buf []byte
+	switch {
+	case profile.SniffFlat(hdr) && path != "-":
+		f, err = profile.OpenFlatFile(path)
+	case profile.SniffFlat(hdr):
+		if buf, err = io.ReadAll(br); err == nil {
+			f, err = profile.OpenFlat(buf)
+		}
+	default:
+		var p *profile.Profile
+		if p, err = profile.ReadGzip(br); err == nil {
+			if buf, err = profile.MarshalFlat(p); err == nil {
+				f, err = profile.OpenFlat(buf)
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return f, nil
 }
 
-// readProfile loads a profile in either encoding — gzip canonical or
-// flat — detecting the format from the file contents, and returns it
-// as a heap profile.
+// readProfile loads a profile in either encoding (see openProfile) as a
+// heap profile.
 func readProfile(path string) *profile.Profile {
-	if isFlatFile(path) {
-		f, err := profile.OpenFlatFile(path)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		defer f.Close()
-		return f.Profile()
-	}
-	fh, err := os.Open(path)
+	f, err := openProfile(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer fh.Close()
-	p, err := profile.ReadGzip(fh)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	return p
+	defer f.Close()
+	return f.Profile()
 }
 
 func fatal(err error) {
@@ -331,7 +347,6 @@ func cmdSynth(args []string) {
 	n := fs.Uint64("n", 0, "emit only the first n requests (0 = all)")
 	format := fs.String("format", "gz", "output format: gz, bin or csv")
 	workers := fs.Int("j", 1, "chunk-refill workers (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical output")
-	batch := fs.Int("batch", 0, "per-leaf pre-generation chunk size (0 = default); any value gives identical output")
 	of := obs.RegisterFlags(fs)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -342,61 +357,23 @@ func cmdSynth(args []string) {
 	}
 	ctx, stop := of.Start("mocktails.synth")
 	defer stop()
-	// The input encoding is sniffed, not configured: a flat profile is
-	// memory-mapped and synthesized directly from the mapping (open cost
-	// is the header parse); a gz profile is decoded to the heap. Output
-	// is byte-identical either way.
+	// The input encoding is sniffed, not configured; synthesis always
+	// runs over a flat view (see openProfile), so output is
+	// byte-identical for either encoding.
 	_, lsp := obs.Start(ctx, "load")
-	var v profile.View
-	var name string
-	if *in == "-" {
-		// Stdin is not seekable or mappable, so buffer it and sniff the
-		// encoding from the bytes — flat profiles open zero-copy over
-		// the buffer, gz profiles decode to the heap.
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatal(err)
-		}
-		if profile.SniffFlat(data) {
-			fp, err := profile.OpenFlat(data)
-			if err != nil {
-				fatal(fmt.Errorf("stdin: %w", err))
-			}
-			v, name = fp, fp.Name()
-		} else {
-			p, err := profile.ReadGzip(bytes.NewReader(data))
-			if err != nil {
-				fatal(fmt.Errorf("stdin: %w", err))
-			}
-			v, name = p, p.Name
-		}
-	} else if isFlatFile(*in) {
-		fp, err := profile.OpenFlatFile(*in)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", *in, err))
-		}
-		defer fp.Close()
-		v, name = fp, fp.Name()
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := profile.ReadGzip(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		v, name = p, p.Name
+	fp, err := openProfile(*in)
+	if err != nil {
+		fatal(err)
 	}
-	lsp.SetCount("leaves", int64(v.NumLeaves()))
+	defer fp.Close()
+	lsp.SetCount("leaves", int64(fp.NumLeaves()))
 	lsp.End()
 	j := *workers
 	if j <= 0 {
 		j = par.Default()
 	}
 	sctx, ssp := obs.Start(ctx, "synth")
-	src := core.SynthesizeFrom(v, *seed, core.SynthWorkers(j), core.SynthBatch(*batch), core.SynthContext(sctx))
+	src := core.SynthesizeFrom(fp, *seed, core.SynthWorkers(j), core.SynthContext(sctx))
 	t := trace.Collect(src, int(*n))
 	if c, ok := src.(interface{ Close() }); ok {
 		c.Close() // release refill workers when -n truncated the stream
@@ -425,7 +402,7 @@ func cmdSynth(args []string) {
 	if *out == "-" {
 		summary = os.Stderr // keep the trace bytes clean on stdout
 	}
-	fmt.Fprintf(summary, "synthesised %d requests from %s\n", len(t), name)
+	fmt.Fprintf(summary, "synthesised %d requests from %s\n", len(t), fp.Name())
 }
 
 func cmdStats(args []string) {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -183,5 +184,58 @@ func TestCLISynthFlatFromStdin(t *testing.T) {
 	}
 	if !bytes.Equal(fromFlat, fromGz) {
 		t.Fatal("flat and gz stdin profiles synthesise different traces")
+	}
+}
+
+// TestCLIProfileOpeners: every way the CLI opens a profile — flat or gz
+// bytes on stdin, and a compose directory holding only <id>.profile.gz
+// — synthesizes exactly the bytes the memory-mapped flat file does.
+func TestCLIProfileOpeners(t *testing.T) {
+	dir := t.TempDir()
+	id := composeFixture(t, dir)
+	flat := filepath.Join(dir, id+".mfp")
+	gz := filepath.Join(dir, id+".profile.gz")
+	synthOut := filepath.Join(dir, "flat.bin")
+	if out, code := runSelf(t, "synth", "-in", flat, "-seed", "7", "-format", "bin", "-out", synthOut); code != 0 {
+		t.Fatalf("synth from flat file failed (%d): %s", code, out)
+	}
+	want, err := os.ReadFile(synthOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, in := range []string{flat, gz} {
+		data, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stderr, code := runSelfPipe(t, data, "synth", "-in", "-", "-seed", "7", "-format", "bin", "-out", "-")
+		if code != 0 {
+			t.Fatalf("synth from %s on stdin failed (%d): %s", filepath.Base(in), code, stderr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("synth from %s on stdin differs from the flat file (%d vs %d bytes)", filepath.Base(in), len(got), len(want))
+		}
+	}
+
+	gzDir := t.TempDir()
+	data, err := os.ReadFile(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(gzDir, id+".profile.gz"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := writeSpec(t, dir, &scenario.Spec{Devices: []scenario.Device{{Profile: id, Seed: 7}}})
+	composeOut := filepath.Join(dir, "gzdir.bin")
+	if out, code := runSelf(t, "compose", "-spec", spec, "-dir", gzDir, "-out", composeOut); code != 0 {
+		t.Fatalf("compose over a gz directory failed (%d): %s", code, out)
+	}
+	got, err := os.ReadFile(composeOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("compose over a gz directory differs from the flat file (%d vs %d bytes)", len(got), len(want))
 	}
 }

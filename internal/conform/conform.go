@@ -7,12 +7,13 @@
 //     counts, start bookkeeping, address bounds, and — per feature — the
 //     exact multiset of training values captured by each McC model;
 //   - the synthetic stream conforms to the profile: timestamps are
-//     non-decreasing out of the merger, every synthesized address stays
-//     wrapped inside its leaf's [Lo, Hi) range, every leaf emits exactly
-//     its Count requests, and strict convergence reproduces the exact
-//     multiset of delta-time/stride/op/size feature values (§III-C);
-//   - the merged total order is a permutation of the per-leaf partial
-//     orders, nothing dropped and nothing invented.
+//     non-decreasing out of the merger, and strict convergence
+//     reproduces the exact multiset of delta-time/stride/op/size
+//     feature values (§III-C);
+//   - the merged total order is a permutation of per-leaf reference
+//     partial orders — Count requests each, addresses wrapped inside the
+//     leaf's [Lo, Hi) range — that conform assembles itself from the
+//     raw feature draws, nothing dropped and nothing invented.
 //
 // Violations are collected into a Report rather than returned on first
 // failure, so a single run pinpoints every broken invariant. The
@@ -308,12 +309,13 @@ func checkProfile(ctx context.Context, orig trace.Trace, p *profile.Profile, cfg
 }
 
 // CheckSynthetic verifies that synthetic is a conforming output of
-// New(p, seed): the merger emitted non-decreasing timestamps, the
-// stream is exactly the multiset union of every leaf's partial order,
-// each leaf produced exactly Count requests starting at its recorded
-// (StartTime, StartAddr), every address lies wrapped inside the leaf's
-// [Lo, Hi) range, and the raw feature draws reproduce each model's
-// value multiset exactly (strict convergence, §III-C).
+// New(p, seed). It does not replay the synthesizer: for every leaf it
+// draws the raw features under the leaf's seed, asserts they reproduce
+// each model's value multiset exactly (strict convergence, §III-C), and
+// assembles from them a reference partial order of exactly Count
+// requests whose addresses must lie wrapped inside the leaf's [Lo, Hi)
+// range. The merged stream must then hold non-decreasing timestamps and
+// be exactly the multiset union of the reference partial orders.
 func CheckSynthetic(p *profile.Profile, synthetic trace.Trace, seed uint64) *Report {
 	r := &Report{Leaves: len(p.Leaves), Requests: len(synthetic)}
 	if want := p.Requests(); len(synthetic) != want {
@@ -330,27 +332,15 @@ func CheckSynthetic(p *profile.Profile, synthetic trace.Trace, seed uint64) *Rep
 		}
 	}
 
-	seeds := synth.LeafSeeds(p, seed)
+	seeds := synth.LeafSeeds(len(p.Leaves), seed)
 	union := make(map[trace.Request]int, len(synthetic))
 	for i := range p.Leaves {
 		l := &p.Leaves[i]
-		stream := synth.LeafStream(l, seeds[i])
-		if len(stream) != int(l.Count) {
-			r.add("synth/leaf-count", i, "leaf emitted %d requests, Count is %d",
-				len(stream), l.Count)
-		}
-		if len(stream) == 0 {
-			continue
-		}
-		if stream[0].Time != l.StartTime || stream[0].Addr != l.StartAddr {
-			r.add("synth/leaf-start", i, "first request (t=%d, 0x%x), leaf records (t=%d, 0x%x)",
-				stream[0].Time, stream[0].Addr, l.StartTime, l.StartAddr)
-		}
-		if !stream.Sorted() {
-			r.add("synth/leaf-sorted", i, "partial order is not non-decreasing in time")
-		}
+		f := synth.Features(l, seeds[i])
+		checkStrictConvergence(r, l, f, i)
+		ref := assemble(l, f)
 		if l.Hi > l.Lo {
-			for _, req := range stream {
+			for _, req := range ref {
 				if req.Addr < l.Lo || req.Addr >= l.Hi {
 					r.add("synth/addr-range", i, "address 0x%x escapes [0x%x, 0x%x)",
 						req.Addr, l.Lo, l.Hi)
@@ -358,16 +348,13 @@ func CheckSynthetic(p *profile.Profile, synthetic trace.Trace, seed uint64) *Rep
 				}
 			}
 		}
-		f := synth.Features(l, seeds[i])
-		checkStrictConvergence(r, l, f, i)
-		checkAssembly(r, l, stream, f, i)
-		for _, req := range stream {
+		for _, req := range ref {
 			union[req]++
 		}
 	}
 
 	// The merged stream must be exactly the multiset union of the
-	// per-leaf partial orders.
+	// reference partial orders.
 	for _, req := range synthetic {
 		union[req]--
 	}
@@ -381,9 +368,36 @@ func CheckSynthetic(p *profile.Profile, synthetic trace.Trace, seed uint64) *Rep
 	}
 	if extra > 0 || missing > 0 {
 		r.add("synth/merge-multiset", -1,
-			"merged stream invents %d request(s) and drops %d vs the per-leaf union", extra, missing)
+			"merged stream invents %d request(s) and drops %d vs the per-leaf reference", extra, missing)
 	}
 	return r
+}
+
+// assemble builds leaf l's reference partial order from its raw feature
+// draws by the request-assembly rules of §III-C: the first request sits
+// at the leaf's recorded (StartTime, StartAddr), and each later one adds
+// a delta time clamped at zero and a stride whose result is wrapped
+// into [Lo, Hi). It shares no code with the synthesizer's generator
+// beyond the feature draws and the value conversions.
+func assemble(l *profile.Leaf, f synth.LeafFeatures) trace.Trace {
+	if len(f.Ops) == 0 {
+		return nil
+	}
+	t := make(trace.Trace, len(f.Ops))
+	tm, addr := l.StartTime, l.StartAddr
+	for i := range t {
+		if i > 0 {
+			tm += uint64(max(f.DeltaTimes[i-1], 0))
+			addr = synth.WrapAddr(int64(addr)+f.Strides[i-1], l.Lo, l.Hi)
+		}
+		t[i] = trace.Request{
+			Time: tm,
+			Addr: addr,
+			Op:   synth.OpFromValue(f.Ops[i]),
+			Size: synth.SizeFromValue(f.Sizes[i]),
+		}
+	}
+	return t
 }
 
 // checkStrictConvergence asserts the §III-C multiset guarantee for one
@@ -410,39 +424,6 @@ func checkStrictConvergence(r *Report, l *profile.Leaf, f synth.LeafFeatures, id
 		got := multisetOf(c.got)
 		if d := diffMultisets(want, got); d != "" {
 			r.add("strict-convergence/"+c.name, idx, "generated multiset differs from model: %s", d)
-		}
-	}
-}
-
-// checkAssembly re-applies the request-assembly transforms (delta-time
-// clamping at zero, address wrapping into [Lo, Hi)) to the raw feature
-// draws and asserts they reproduce the leaf's emitted stream — the link
-// proving the feature-level and request-level views agree.
-func checkAssembly(r *Report, l *profile.Leaf, stream trace.Trace, f synth.LeafFeatures, idx int) {
-	n := int(l.Count)
-	if len(stream) != n || len(f.Ops) != n || len(f.Sizes) != n ||
-		len(f.DeltaTimes) != n-1 || len(f.Strides) != n-1 {
-		return // length violations already reported
-	}
-	tm, addr := l.StartTime, l.StartAddr
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			dt := f.DeltaTimes[i-1]
-			if dt < 0 {
-				dt = 0
-			}
-			tm += uint64(dt)
-			addr = synth.WrapAddr(int64(addr)+f.Strides[i-1], l.Lo, l.Hi)
-		}
-		want := trace.Request{
-			Time: tm,
-			Addr: addr,
-			Op:   synth.OpFromValue(f.Ops[i]),
-			Size: synth.SizeFromValue(f.Sizes[i]),
-		}
-		if stream[i] != want {
-			r.add("synth/assembly", idx, "request %d is %v, reassembly gives %v", i, stream[i], want)
-			return
 		}
 	}
 }

@@ -160,8 +160,7 @@ func TestPerturbedCountFails(t *testing.T) {
 	if !hasCheck(r, "profile/leaf-requests") {
 		t.Errorf("expected profile/leaf-requests violation, got %v", r.Violations)
 	}
-	if !hasCheck(r, "synth/total-requests") && !hasCheck(r, "synth/leaf-count") &&
-		!hasCheck(r, "synth/merge-multiset") {
+	if !hasCheck(r, "synth/total-requests") && !hasCheck(r, "synth/merge-multiset") {
 		t.Errorf("synthetic-side checks silent on count drift: %v", r.Violations)
 	}
 }

@@ -75,17 +75,13 @@ func BuildStream(name string, rd trace.Reader, cfg Config, opts ...BuildOption) 
 	return p, nil
 }
 
-// SynthOption configures synthesis; see SynthWorkers and SynthBatch.
+// SynthOption configures synthesis; see SynthWorkers and SynthContext.
 type SynthOption = synth.Option
 
 // SynthWorkers sets the number of background chunk-refill workers used
 // during synthesis; <= 1 generates on the consuming goroutine. Any
 // worker count produces a bit-identical stream.
 func SynthWorkers(n int) SynthOption { return synth.Workers(n) }
-
-// SynthBatch sets the per-leaf pre-generation chunk size (<= 0 selects
-// synth.DefaultBatch). Any batch size produces a bit-identical stream.
-func SynthBatch(n int) SynthOption { return synth.Batch(n) }
 
 // SynthContext attaches a context to synthesis for observability: the
 // setup span nests below the span carried by ctx (see internal/obs).

@@ -34,6 +34,10 @@ var (
 // flatExt is the on-disk extension of flat-encoded profiles.
 const flatExt = ".mfp"
 
+// tmpPattern names the temp files write renames into place. One left by
+// a crash before its rename is swept when the tier is next opened.
+const tmpPattern = "put-*" + flatExt + ".tmp"
+
 // diskFile is one resident flat file, tracked in the tier's LRU.
 // verified is false for a file indexed at startup until its first open
 // has checked that it hashes to its name; a file this process wrote is
@@ -66,7 +70,7 @@ type diskTier struct {
 // -disk-dir keeps serving its previously uploaded profiles. Their names
 // are not trusted: each file is verified against its name on first
 // open, so a file left by a build with another addressing scheme is
-// dropped then.
+// dropped then. Stale temp files (tmpPattern) are deleted.
 func newDiskTier(dir string, budget int64) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: disk tier: %w", err)
@@ -83,7 +87,14 @@ func newDiskTier(dir string, budget int64) (*diskTier, error) {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, flatExt) {
+		if ent.IsDir() {
+			continue
+		}
+		if ok, _ := filepath.Match(tmpPattern, name); ok {
+			os.Remove(filepath.Join(dir, name))
+			continue
+		}
+		if !strings.HasSuffix(name, flatExt) {
 			continue
 		}
 		info, err := ent.Info()
@@ -116,7 +127,7 @@ func (d *diskTier) write(id string, buf []byte) error {
 	}
 	d.mu.Unlock()
 
-	tmp, err := os.CreateTemp(d.dir, "put-*"+flatExt+".tmp")
+	tmp, err := os.CreateTemp(d.dir, tmpPattern)
 	if err != nil {
 		mDiskWriteErrors.Inc()
 		return err

@@ -194,6 +194,33 @@ func TestDiskTierReindexOnRestart(t *testing.T) {
 	}
 }
 
+// A temp file left by a crash between write and rename is deleted when
+// the tier is next opened, and never counted as a resident file; other
+// files in the directory are left alone.
+func TestDiskTierSweepsStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, "put-123456"+flatExt+".tmp")
+	other := filepath.Join(dir, "notes.txt")
+	for _, path := range []string{stale, other} {
+		if err := os.WriteFile(path, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewTieredStore(StoreConfig{Shards: 1, DiskDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived the startup scan: %v", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("unrelated file removed: %v", err)
+	}
+	if bytes, files := s.DiskStats(); files != 0 || bytes != 0 {
+		t.Fatalf("disk stats = %d bytes / %d files, want empty", bytes, files)
+	}
+}
+
 func TestDiskTierDemotedVisibleInMetaAndList(t *testing.T) {
 	s, _ := newDiskStore(t, 0, 0)
 	p := testProfile(t, 7)

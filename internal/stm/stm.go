@@ -157,7 +157,7 @@ func Synthesize(p *Profile, seed uint64) trace.Source {
 	rng := stats.NewRNG(seed)
 	gens := make([]trace.Puller, 0, len(p.Leaves))
 	for i := range p.Leaves {
-		if g := newLeafGen(&p.Leaves[i], rng.Fork()); g != nil {
+		if g := newGen(&p.Leaves[i], rng.Fork()); g != nil {
 			gens = append(gens, g)
 		}
 	}
@@ -177,7 +177,7 @@ type leafGen struct {
 	last    trace.Request
 }
 
-func newLeafGen(l *Leaf, rng *stats.RNG) *leafGen {
+func newGen(l *Leaf, rng *stats.RNG) *leafGen {
 	if l.Count == 0 {
 		return nil
 	}

@@ -10,24 +10,25 @@ import (
 
 // leafStream adapts one leafGen to chunked consumption: the merge loop
 // iterates over cur, a flat slice of pre-generated requests, instead of
-// making virtual Pending/Advance calls per request. In parallel mode the
-// stream double-buffers: while the merge consumes cur (one slab), a
-// refill worker fills the other slab and commits it through next.
+// generating per request. In parallel mode the stream double-buffers:
+// while the merge consumes cur (one slab), a refill worker fills the
+// other slab and commits it through next.
 type leafStream struct {
 	// gen is nil for eager streams: a leaf whose full output fits one
-	// batch is generated at construction time by a stack-local generator
+	// chunk is generated at construction time by a stack-local generator
 	// and only its requests are retained. Most leaves of
 	// interval-partitioned profiles are eager, which keeps the surviving
-	// per-synthesis state at one exact-sized request slab per leaf.
+	// per-synthesis state at one exact-sized arena region per leaf.
 	gen *leafGen
 
 	cur []trace.Request
 	pos int
 
-	// slabs are the chunk buffers: slabs[0] always exists; slabs[1] is
-	// allocated lazily, only when the leaf needs more than one chunk in
-	// parallel mode. filling is the slab index the outstanding refill
-	// writes into (owned by the worker between enqueue and commit).
+	// slabs are the chunk buffers of a leaf longer than one chunk:
+	// slabs[0] is its region of the shared arena; slabs[1] is allocated
+	// only in parallel mode. filling is the slab index the outstanding
+	// refill writes into (owned by the worker between enqueue and
+	// commit).
 	slabs   [2][]trace.Request
 	filling int
 
@@ -56,7 +57,6 @@ type batchMerger struct {
 	streams []*leafStream
 	lt      *trace.LoserTree
 	shift   uint64
-	batch   int
 	live    int
 
 	// pops, delayCalls and delayCycles are merge-loop-local stats
@@ -73,37 +73,30 @@ type batchMerger struct {
 	finishOnce sync.Once
 }
 
-// init builds the stream for one leaf in place — generator construction
-// plus the first chunk fill — returning false for an empty leaf. It does
-// all the per-leaf setup work and touches nothing shared (arena regions
-// are disjoint), so NewFrom fans calls to it across workers. A leaf
-// whose full output fits one batch is generated eagerly with a
-// stack-local generator into buf, its region of the shared arena; only
-// larger leaves keep a heap generator alive for chunked refills. l may
+// init builds the stream for one non-empty leaf in place — generator
+// construction plus the first chunk fill into buf, the leaf's region of
+// the shared arena, holding min(Count, batch) requests. It does all the
+// per-leaf setup work and touches nothing shared (arena regions are
+// disjoint), so NewFrom fans calls to it across workers. The generator
+// lives on the stack; only a leaf that is not exhausted by the first
+// fill keeps a heap copy of it, and refills into the same region. l may
 // be a stack-transient view over a flat buffer: nothing retains it past
 // this call (leafGen copies the scalars and slice views it needs).
-func (s *leafStream) init(l *profile.Leaf, seed uint64, batch int, buf []trace.Request, ar *markov.Arena) bool {
-	if l.Count == 0 {
-		return false
-	}
-	if c := int(l.Count); c <= batch {
-		var g leafGen
-		g.init(l, seed, ar)
-		g.fill(buf[:c])
-		s.cur, s.eof = buf[:c], true
-		return true
+func (s *leafStream) init(l *profile.Leaf, seed uint64, buf []trace.Request, ar *markov.Arena) {
+	var g leafGen
+	g.init(l, seed, ar)
+	s.cur = buf[:g.fill(buf)]
+	if g.exhausted {
+		s.eof = true
+		return
 	}
 	s.gen = new(leafGen)
-	s.gen.init(l, seed, ar)
-	s.slabs[0] = make([]trace.Request, batch)
-	n := s.gen.fill(s.slabs[0])
-	s.cur = s.slabs[0][:n]
-	s.eof = s.gen.exhausted
-	return true
+	*s.gen = g
+	s.slabs[0] = buf
 }
 
 func newBatchMerger(streams []*leafStream, cfg config) *batchMerger {
-	m := &batchMerger{batch: cfg.batch, streams: streams}
+	m := &batchMerger{streams: streams}
 	times := make([]uint64, len(streams))
 	done := make([]bool, len(streams))
 	pending := 0
@@ -137,13 +130,13 @@ func newBatchMerger(streams []*leafStream, cfg config) *batchMerger {
 		// Pre-schedule every unfinished stream's next chunk so it is
 		// generated concurrently with the merge. A stream that needs a
 		// second chunk necessarily had a full first one, so slabs[0] is
-		// batch-sized and double-buffering alternates two full slabs.
+		// a full chunk and double-buffering alternates two of them.
 		for _, s := range streams {
 			if s.eof {
 				continue
 			}
 			s.next = make(chan []trace.Request, 1)
-			s.slabs[1] = make([]trace.Request, cfg.batch)
+			s.slabs[1] = make([]trace.Request, batch)
 			s.filling = 1
 			m.jobs <- refillJob{s: s, slab: 1}
 		}
@@ -165,12 +158,8 @@ func (m *batchMerger) commitChunk(s *leafStream, chunk []trace.Request) {
 		s.eof = true
 		return
 	}
-	free := 1 - s.filling
-	if s.slabs[free] == nil {
-		s.slabs[free] = make([]trace.Request, m.batch)
-	}
-	s.filling = free
-	m.jobs <- refillJob{s: s, slab: free}
+	s.filling = 1 - s.filling
+	m.jobs <- refillJob{s: s, slab: s.filling}
 }
 
 // Next returns the globally next request.

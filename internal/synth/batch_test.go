@@ -14,16 +14,16 @@ import (
 )
 
 // heapMerger is a frozen copy of the pre-optimisation container/heap
-// merger. Together with the per-request Pending/Advance leaf generators
-// it reproduces the old synthesis path exactly, so the batched
-// loser-tree path can be asserted byte-identical against it.
+// merger. Over leaves each generated in full by one fill it reproduces
+// the old synthesis path exactly, so the batched loser-tree path can be
+// asserted byte-identical against it.
 type heapMerger struct {
 	pq    refHeap
 	shift uint64
 }
 
 type refEntry struct {
-	g     *leafGen
+	reqs  []trace.Request // the leaf's not-yet-emitted requests
 	order int
 }
 
@@ -31,7 +31,7 @@ type refHeap []refEntry
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
-	ti, tj := h[i].g.Pending().Time, h[j].g.Pending().Time
+	ti, tj := h[i].reqs[0].Time, h[j].reqs[0].Time
 	if ti != tj {
 		return ti < tj
 	}
@@ -47,12 +47,12 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-func newHeapMerger(gens []*leafGen) *heapMerger {
+func newHeapMerger(leaves [][]trace.Request) *heapMerger {
 	m := &heapMerger{}
-	m.pq = make(refHeap, 0, len(gens))
-	for i, g := range gens {
-		if g != nil {
-			m.pq = append(m.pq, refEntry{g: g, order: i})
+	m.pq = make(refHeap, 0, len(leaves))
+	for i, reqs := range leaves {
+		if len(reqs) > 0 {
+			m.pq = append(m.pq, refEntry{reqs: reqs, order: i})
 		}
 	}
 	heap.Init(&m.pq)
@@ -64,9 +64,9 @@ func (m *heapMerger) Next() (trace.Request, bool) {
 		return trace.Request{}, false
 	}
 	e := &m.pq[0]
-	req := e.g.Pending()
+	req := e.reqs[0]
 	req.Time += m.shift
-	if e.g.Advance() {
+	if e.reqs = e.reqs[1:]; len(e.reqs) > 0 {
 		heap.Fix(&m.pq, 0)
 	} else {
 		heap.Pop(&m.pq)
@@ -76,17 +76,36 @@ func (m *heapMerger) Next() (trace.Request, bool) {
 
 func (m *heapMerger) Delay(cycles uint64) { m.shift += cycles }
 
-// refSynth reconstructs the old Synthesizer: per-request leaf generation
-// merged through the reference heap.
+// refSynth reconstructs the old Synthesizer: every leaf generated in
+// full by one fill, merged through the reference heap.
 func refSynth(p *profile.Profile, seed uint64) trace.Source {
-	rng := stats.NewRNG(seed)
-	gens := make([]*leafGen, 0, len(p.Leaves))
+	seeds := LeafSeeds(len(p.Leaves), seed)
+	leaves := make([][]trace.Request, len(p.Leaves))
 	for i := range p.Leaves {
-		if g := newLeafGen(&p.Leaves[i], rng.Uint64()); g != nil {
-			gens = append(gens, g)
+		l := &p.Leaves[i]
+		if l.Count == 0 {
+			continue
 		}
+		var g leafGen
+		g.init(l, seeds[i], nil)
+		buf := make([]trace.Request, l.Count)
+		leaves[i] = buf[:g.fill(buf)]
 	}
-	return newHeapMerger(gens)
+	return newHeapMerger(leaves)
+}
+
+// chunkBoundaryConfigs partition into TemporalRequestCount leaves one
+// request short of a chunk, exactly one chunk, one request over, and
+// two chunks plus one: eager leaves, a leaf that fills its arena
+// region exactly, and leaves that refill once and twice.
+func chunkBoundaryConfigs() []partition.Config {
+	var cfgs []partition.Config
+	for _, n := range []uint64{batch - 1, batch, batch + 1, 2*batch + 1} {
+		cfgs = append(cfgs, partition.Config{Layers: []partition.Layer{
+			{Kind: partition.TemporalRequestCount, Param: n},
+		}})
+	}
+	return cfgs
 }
 
 func collectWithDelays(s trace.Source, delayEvery int, delay uint64) trace.Trace {
@@ -117,56 +136,54 @@ func assertSameTrace(t *testing.T, label string, got, want trace.Trace) {
 
 // TestBatchedMatchesOldSynthesisPath asserts the tentpole invariant: the
 // rebuilt hot path (cached-total/Fenwick sampling, loser-tree merge,
-// batched chunks, parallel refill) emits a stream byte-identical to the
-// pre-optimisation heap-based per-request path, for a fixed (profile,
-// seed), with and without backpressure delays.
+// chunked fills, parallel refill) emits a stream byte-identical to the
+// pre-optimisation heap-based path, for a fixed (profile, seed), with
+// and without backpressure delays, on profiles whose leaves end on
+// either side of a chunk boundary.
 func TestBatchedMatchesOldSynthesisPath(t *testing.T) {
+	cfgs := append([]partition.Config{partition.TwoLevelTS(500)}, chunkBoundaryConfigs()...)
 	for _, n := range []int{1, 40, 3000} {
 		tr := workload(uint64(n), n)
-		p := buildProfile(t, tr, partition.TwoLevelTS(500))
-		for _, seed := range []uint64{0, 7, 999} {
-			want := trace.Collect(refSynth(p, seed), 0)
-			for _, opts := range [][]Option{
-				nil,
-				{Batch(1)},
-				{Batch(7)},
-				{Workers(4)},
-				{Workers(8), Batch(3)},
-				{Workers(2), Batch(1024)},
-			} {
-				got := trace.Collect(New(p, seed, opts...), 0)
-				assertSameTrace(t, fmt.Sprintf("n=%d seed=%d opts=%d", n, seed, len(opts)), got, want)
+		for ci, cfg := range cfgs {
+			p := buildProfile(t, tr, cfg)
+			for _, seed := range []uint64{0, 7, 999} {
+				want := trace.Collect(refSynth(p, seed), 0)
+				for _, w := range []int{1, 2, 4, 8} {
+					got := trace.Collect(New(p, seed, Workers(w)), 0)
+					assertSameTrace(t, fmt.Sprintf("n=%d cfg=%d seed=%d workers=%d", n, ci, seed, w), got, want)
+				}
+				// Backpressure delays interleaved identically on both paths.
+				wantD := collectWithDelays(refSynth(p, seed), 13, 100)
+				gotD := collectWithDelays(New(p, seed, Workers(4)), 13, 100)
+				assertSameTrace(t, fmt.Sprintf("delayed n=%d cfg=%d seed=%d", n, ci, seed), gotD, wantD)
 			}
-			// Backpressure delays interleaved identically on both paths.
-			wantD := collectWithDelays(refSynth(p, seed), 13, 100)
-			gotD := collectWithDelays(New(p, seed, Workers(4), Batch(5)), 13, 100)
-			assertSameTrace(t, fmt.Sprintf("delayed n=%d seed=%d", n, seed), gotD, wantD)
 		}
 	}
 }
 
 // TestSerialVsParallelSynthesisIdentical pins the determinism contract
-// of the parallel batch-refill stage across worker counts and batch
-// sizes.
+// of the parallel chunk-refill stage across worker counts, with leaves
+// ending on either side of a chunk boundary.
 func TestSerialVsParallelSynthesisIdentical(t *testing.T) {
 	tr := workload(21, 4000)
-	p := buildProfile(t, tr, partition.TwoLevelTS(400))
-	want := trace.Collect(New(p, 5), 0)
-	for _, w := range []int{2, 3, 8, 16} {
-		for _, b := range []int{1, 2, 64, DefaultBatch} {
-			got := trace.Collect(New(p, 5, Workers(w), Batch(b)), 0)
-			assertSameTrace(t, fmt.Sprintf("workers=%d batch=%d", w, b), got, want)
+	for ci, cfg := range chunkBoundaryConfigs() {
+		p := buildProfile(t, tr, cfg)
+		want := trace.Collect(New(p, 5), 0)
+		for w := 2; w <= 16; w++ {
+			got := trace.Collect(New(p, 5, Workers(w)), 0)
+			assertSameTrace(t, fmt.Sprintf("cfg=%d workers=%d", ci, w), got, want)
 		}
 	}
 }
 
 // TestParallelSynthesizerClose exercises abandoning a parallel stream
-// mid-flight; under -race this also proves the refill pipeline shuts
-// down without leaking blocked workers.
+// mid-flight, with refills outstanding; under -race this also proves
+// the refill pipeline shuts down without leaking blocked workers.
 func TestParallelSynthesizerClose(t *testing.T) {
 	tr := workload(22, 3000)
-	p := buildProfile(t, tr, partition.TwoLevelTS(400))
-	s := New(p, 1, Workers(4), Batch(8))
+	cfgs := chunkBoundaryConfigs()
+	p := buildProfile(t, tr, cfgs[len(cfgs)-1])
+	s := New(p, 1, Workers(4))
 	for i := 0; i < 100; i++ {
 		if _, ok := s.Next(); !ok {
 			t.Fatal("stream ended early")

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/partition"
@@ -26,26 +27,19 @@ func openFlat(t *testing.T, p *profile.Profile) *profile.Flat {
 // TestFlatSynthesisByteIdentical is the invariant the flat fast path
 // rests on: synthesizing from a flat view emits exactly the stream the
 // heap profile emits, request for request, for serial and parallel
-// configurations and across batch sizes (which change which leaves are
-// eager and which keep chunked generators).
+// configurations and for leaves on either side of a chunk boundary
+// (which decides which leaves are eager and which keep chunked
+// generators).
 func TestFlatSynthesisByteIdentical(t *testing.T) {
 	tr := workload(21, 6000)
-	p := buildProfile(t, tr, partition.TwoLevelTS(700))
-	f := openFlat(t, p)
-	want := trace.Collect(New(p, 99), 0)
-	for _, opts := range [][]Option{
-		nil,
-		{Batch(7)},
-		{Workers(4), Batch(64)},
-	} {
-		got := trace.Collect(NewFrom(f, 99, opts...), 0)
-		if len(got) != len(want) {
-			t.Fatalf("opts %v: %d requests, want %d", opts, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("opts %v: request %d = %+v, want %+v", opts, i, got[i], want[i])
-			}
+	cfgs := append([]partition.Config{partition.TwoLevelTS(700)}, chunkBoundaryConfigs()...)
+	for ci, cfg := range cfgs {
+		p := buildProfile(t, tr, cfg)
+		f := openFlat(t, p)
+		want := trace.Collect(New(p, 99), 0)
+		for _, w := range []int{1, 4} {
+			got := trace.Collect(NewFrom(f, 99, Workers(w)), 0)
+			assertSameTrace(t, fmt.Sprintf("cfg=%d workers=%d", ci, w), got, want)
 		}
 	}
 }
@@ -55,21 +49,16 @@ func TestFlatSynthesisByteIdentical(t *testing.T) {
 // which must not retain the stack-transient Leaf view.
 func TestFlatSynthesisSingleLeaf(t *testing.T) {
 	tr := workload(22, 4000)
-	// One huge temporal interval + one request-count layer big enough to
-	// swallow everything: a handful of big leaves, all non-eager.
+	// One request-count layer big enough to swallow everything: a
+	// single leaf many chunks long.
 	p := buildProfile(t, tr, partition.Config{Layers: []partition.Layer{
 		{Kind: partition.TemporalRequestCount, Param: 1 << 20},
 	}})
 	f := openFlat(t, p)
 	want := trace.Collect(New(p, 5), 0)
-	got := trace.Collect(NewFrom(f, 5, Batch(32)), 0)
-	if len(got) != len(want) {
-		t.Fatalf("%d requests, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("request %d = %+v, want %+v", i, got[i], want[i])
-		}
+	for _, w := range []int{1, 4} {
+		got := trace.Collect(NewFrom(f, 5, Workers(w)), 0)
+		assertSameTrace(t, fmt.Sprintf("workers=%d", w), got, want)
 	}
 }
 

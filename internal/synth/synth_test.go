@@ -221,7 +221,7 @@ func scheduleMerger(schedules ...[]trace.Request) *batchMerger {
 	for i, reqs := range schedules {
 		streams[i] = &leafStream{cur: reqs, eof: true}
 	}
-	return newBatchMerger(streams, config{workers: 1, batch: DefaultBatch})
+	return newBatchMerger(streams, config{workers: 1})
 }
 
 func TestMergerEmpty(t *testing.T) {

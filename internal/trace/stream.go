@@ -16,8 +16,9 @@ import (
 // consumer that disconnects aborts the encode within one record batch.
 
 // cancelCheckEvery is how many records the streaming encoders emit
-// between context checks. It matches synth.DefaultBatch, so a canceled
-// stream stops pulling from a Synthesizer within one refill chunk.
+// between context checks. It matches the synthesizer's per-leaf chunk
+// length, so a canceled stream stops pulling from a Synthesizer within
+// one refill chunk.
 const cancelCheckEvery = 256
 
 // egressCounter counts the bytes that reach the underlying writer, so the
