@@ -167,8 +167,9 @@ func BenchmarkAllParallel(b *testing.B) {
 // BenchmarkSynthesize tracks the synthesis hot path on the two profiles
 // recorded in BENCH_synth.json: small = OpenCL1 (9 big leaves, sampling
 // kernel bound) and large = Manhattan (7524 leaves, merge bound), each
-// serially and with parallel chunk refill. Output is bit-identical
-// across all variants; only throughput differs.
+// serially and with the per-leaf setup fanned across workers (chunk
+// refills always run on the consuming goroutine). Output is
+// bit-identical across all variants; only throughput differs.
 func BenchmarkSynthesize(b *testing.B) {
 	cases := []struct{ size, workload string }{
 		{"small", "OpenCL1"},

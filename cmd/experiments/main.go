@@ -29,7 +29,6 @@ func main() {
 	out := flag.String("out", "", "also write results to this file")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("j", 0, "concurrent experiments (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial)")
-	synthWorkers := flag.Int("synth-j", 1, "chunk-refill workers per synthesis (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical tables")
 	of := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -57,7 +56,6 @@ func main() {
 	}
 
 	env := experiments.NewEnv()
-	env.SynthWorkers = par.Workers(*synthWorkers)
 
 	j := par.Workers(*workers)
 	if j == 1 {

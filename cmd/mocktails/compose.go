@@ -27,7 +27,7 @@ func cmdCompose(args []string) {
 	dir := fs.String("dir", ".", "directory holding the member profiles, named <id>.mfp (flat) or <id>.profile.gz")
 	out := fs.String("out", "-", "output (- = stdout)")
 	format := fs.String("format", "", "output: bin, csv or stats (default: the spec's output field, else bin)")
-	workers := fs.Int("j", 1, "synthesis workers (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS); any value gives identical output")
+	workers := fs.Int("j", 1, "setup workers for device and per-leaf generator construction (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical output")
 	of := obs.RegisterFlags(fs)
 	fs.Parse(args)
 	if *specPath == "" {

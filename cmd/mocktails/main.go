@@ -98,56 +98,76 @@ func cmdInspect(args []string) {
 	profile.Dump(os.Stdout, readProfile(*in), *leaves)
 }
 
-// openProfile opens a profile in either encoding as a flat view,
-// sniffing the format from the bytes ("-" reads stdin). A flat file is
-// memory-mapped and flat stdin opens over its buffer; a gz profile is
-// decoded and re-encoded flat, so every caller synthesizes from the
-// same representation the daemon serves from. The caller must Close
-// the result.
-func openProfile(path string) (*profile.Flat, error) {
+// loadProfile reads a profile in either encoding, sniffing the format
+// from the bytes ("-" reads stdin); it is the only code that tells the
+// two encodings apart. A gz profile is decoded once into a heap profile
+// (f is nil); a flat file is memory-mapped and flat stdin opens over
+// its buffer (p is nil). The caller must Close a non-nil f.
+func loadProfile(path string) (p *profile.Profile, f *profile.Flat, err error) {
 	in, err := openInput(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer in.Close()
-	name := path
-	if path == "-" {
-		name = "stdin"
-	}
 	br := bufio.NewReader(in)
 	hdr, _ := br.Peek(8)
-	var f *profile.Flat
-	var buf []byte
 	switch {
 	case profile.SniffFlat(hdr) && path != "-":
 		f, err = profile.OpenFlatFile(path)
 	case profile.SniffFlat(hdr):
+		var buf []byte
 		if buf, err = io.ReadAll(br); err == nil {
 			f, err = profile.OpenFlat(buf)
 		}
 	default:
-		var p *profile.Profile
-		if p, err = profile.ReadGzip(br); err == nil {
-			if buf, err = profile.MarshalFlat(p); err == nil {
-				f, err = profile.OpenFlat(buf)
-			}
-		}
+		p, err = profile.ReadGzip(br)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, nil, fmt.Errorf("%s: %w", inputName(path), err)
+	}
+	return p, f, nil
+}
+
+// inputName names an -in path in error messages.
+func inputName(path string) string {
+	if path == "-" {
+		return "stdin"
+	}
+	return path
+}
+
+// openProfile opens a profile in either encoding (see loadProfile) as
+// a flat view; a gz profile is re-encoded flat, so every caller
+// synthesizes from the same representation the daemon serves from. The
+// caller must Close the result.
+func openProfile(path string) (*profile.Flat, error) {
+	p, f, err := loadProfile(path)
+	if err != nil || f != nil {
+		return f, err
+	}
+	buf, err := profile.MarshalFlat(p)
+	if err == nil {
+		f, err = profile.OpenFlat(buf)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", inputName(path), err)
 	}
 	return f, nil
 }
 
-// readProfile loads a profile in either encoding (see openProfile) as a
-// heap profile.
+// readProfile loads a profile in either encoding (see loadProfile) as a
+// heap profile: a gz profile is decoded once, a flat one copied out of
+// its view.
 func readProfile(path string) *profile.Profile {
-	f, err := openProfile(path)
+	p, f, err := loadProfile(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	return f.Profile()
+	if f != nil {
+		defer f.Close()
+		p = f.Profile()
+	}
+	return p
 }
 
 func fatal(err error) {
@@ -346,7 +366,7 @@ func cmdSynth(args []string) {
 	seed := fs.Uint64("seed", 42, "synthesis seed")
 	n := fs.Uint64("n", 0, "emit only the first n requests (0 = all)")
 	format := fs.String("format", "gz", "output format: gz, bin or csv")
-	workers := fs.Int("j", 1, "chunk-refill workers (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical output")
+	workers := fs.Int("j", 1, "setup workers for per-leaf generator construction (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical output")
 	of := obs.RegisterFlags(fs)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -376,7 +396,7 @@ func cmdSynth(args []string) {
 	src := core.SynthesizeFrom(fp, *seed, core.SynthWorkers(j), core.SynthContext(sctx))
 	t := trace.Collect(src, int(*n))
 	if c, ok := src.(interface{ Close() }); ok {
-		c.Close() // release refill workers when -n truncated the stream
+		c.Close() // flush the merge stats when -n truncated the stream
 	}
 	ssp.SetCount("requests", int64(len(t)))
 	ssp.End()

@@ -264,8 +264,14 @@ func TestCLIFlatFormat(t *testing.T) {
 		t.Fatalf("round-tripped gz profile: %v (name %q)", err, p2.Name)
 	}
 
-	if out, code := runSelf(t, "inspect", "-in", flatProf); code != 0 || !strings.Contains(out, "tiny") {
-		t.Fatalf("inspect flat: exit %d, output:\n%s", code, out)
+	// inspect decodes a gz profile directly and copies a flat one out
+	// of its view; both must print the same dump.
+	flatDump, code := runSelf(t, "inspect", "-in", flatProf, "-leaves", "1000")
+	if code != 0 || !strings.Contains(flatDump, "tiny") {
+		t.Fatalf("inspect flat: exit %d, output:\n%s", code, flatDump)
+	}
+	if gzDump, code := runSelf(t, "inspect", "-in", gzProf, "-leaves", "1000"); code != 0 || gzDump != flatDump {
+		t.Fatalf("inspect gz: exit %d, output differs from the flat encoding's:\ngz:\n%s\nflat:\n%s", code, gzDump, flatDump)
 	}
 
 	// synth must not care which encoding it reads.

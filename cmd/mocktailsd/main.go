@@ -7,7 +7,7 @@
 //
 //	mocktailsd [-addr localhost:8677] [-store-budget 256MiB] [-shards 16]
 //	           [-max-streams 128] [-max-fits 4] [-max-inflight 512]
-//	           [-fit-timeout 2m] [-drain 15s] [-debug] [-j N] [-synth-j N]
+//	           [-fit-timeout 2m] [-drain 15s] [-debug] [-j N]
 //
 // See docs/API.md for the HTTP API. `mocktails serve` is an alias.
 package main

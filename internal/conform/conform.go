@@ -236,12 +236,8 @@ type profileModel = markov.Model
 // training sequence's multiset — the property strict convergence will
 // replay at synthesis time.
 func CheckProfile(orig trace.Trace, p *profile.Profile, cfg partition.Config) *Report {
-	return checkProfile(context.Background(), orig, p, cfg)
-}
-
-func checkProfile(ctx context.Context, orig trace.Trace, p *profile.Profile, cfg partition.Config) *Report {
 	r := &Report{}
-	leaves, err := partition.SplitCtx(ctx, orig, cfg)
+	leaves, err := partition.Split(orig, cfg)
 	if err != nil {
 		r.add("profile/split", -1, "re-partitioning original failed: %v", err)
 		return r
@@ -441,8 +437,8 @@ func Check(orig trace.Trace, p *profile.Profile, synthetic trace.Trace, cfg part
 // the span carried by ctx. The report is identical to Check's.
 func CheckCtx(ctx context.Context, orig trace.Trace, p *profile.Profile, synthetic trace.Trace, cfg partition.Config, seed uint64, th Thresholds) *Report {
 	mChecksRun.Inc()
-	pctx, psp := obs.Start(ctx, "conform.profile")
-	r := checkProfile(pctx, orig, p, cfg)
+	_, psp := obs.Start(ctx, "conform.profile")
+	r := CheckProfile(orig, p, cfg)
 	psp.SetCount("leaves", int64(r.Leaves))
 	psp.End()
 	_, ssp := obs.Start(ctx, "conform.synthetic")

@@ -78,9 +78,10 @@ func BuildStream(name string, rd trace.Reader, cfg Config, opts ...BuildOption) 
 // SynthOption configures synthesis; see SynthWorkers and SynthContext.
 type SynthOption = synth.Option
 
-// SynthWorkers sets the number of background chunk-refill workers used
-// during synthesis; <= 1 generates on the consuming goroutine. Any
-// worker count produces a bit-identical stream.
+// SynthWorkers sets how many goroutines synthesis setup fans the
+// per-leaf generator construction across; <= 1 sets up serially.
+// Generation itself always runs on the consuming goroutine. Any worker
+// count produces a bit-identical stream.
 func SynthWorkers(n int) SynthOption { return synth.Workers(n) }
 
 // SynthContext attaches a context to synthesis for observability: the

@@ -110,11 +110,6 @@ type Env struct {
 	Seed uint64
 	// IntervalCycles is the 2L-TS temporal partition length.
 	IntervalCycles uint64
-	// SynthWorkers is the chunk-refill worker count handed to every
-	// Mocktails synthesis; <= 1 generates serially. Any value produces
-	// identical tables, because synthesis output is bit-identical for
-	// every worker count.
-	SynthWorkers int
 
 	traces memo[trace.Trace]
 	base   memo[dram.Result]
@@ -135,14 +130,6 @@ func NewEnv() *Env {
 		Seed:           42,
 		IntervalCycles: 500000,
 	}
-}
-
-// synthOpts returns the synthesis options implied by the environment.
-func (e *Env) synthOpts() []core.SynthOption {
-	if e.SynthWorkers <= 1 {
-		return nil
-	}
-	return []core.SynthOption{core.SynthWorkers(e.SynthWorkers)}
 }
 
 // Trace returns (generating and caching) the named Table II proxy trace.
@@ -170,7 +157,7 @@ func (e *Env) McC(name string) dram.Result {
 		if err != nil {
 			panic(err)
 		}
-		return dram.Run(core.Synthesize(p, e.Seed, e.synthOpts()...), e.DRAMCfg, e.XbarLat)
+		return dram.Run(core.Synthesize(p, e.Seed), e.DRAMCfg, e.XbarLat)
 	})
 }
 

@@ -11,7 +11,6 @@
 package partition
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -146,25 +145,14 @@ type Leaf struct {
 // Split applies the hierarchy to the trace and returns the leaves. The
 // request order inside every leaf preserves the input order.
 func Split(t trace.Trace, cfg Config) ([]Leaf, error) {
-	return SplitCtx(context.Background(), t, cfg)
-}
-
-// SplitCtx is Split under a tracing span: the stage nests below the
-// span carried by ctx (see internal/obs) and records the request and
-// leaf counts. Partitioning output is identical to Split's.
-func SplitCtx(ctx context.Context, t trace.Trace, cfg Config) ([]Leaf, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(t) == 0 {
 		return nil, nil
 	}
-	_, sp := obs.Start(ctx, "partition.split")
 	leaves := splitLayer(t, cfg.Layers)
 	mLeaves.Add(uint64(len(leaves)))
-	sp.SetCount("requests", int64(len(t)))
-	sp.SetCount("leaves", int64(len(leaves)))
-	sp.End()
 	return leaves, nil
 }
 

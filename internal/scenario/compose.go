@@ -34,10 +34,10 @@ type config struct {
 	ctx     context.Context
 }
 
-// Workers sets the parallelism of device synthesis: devices are
-// constructed concurrently and each device's leaf generators fan out
-// over the same worker count. Any value produces a bit-identical
-// stream.
+// Workers sets the parallelism of composition setup: devices are
+// constructed concurrently and each device's per-leaf setup fans out
+// over the same worker count; generation runs on the consuming
+// goroutine. Any value produces a bit-identical stream.
 func Workers(n int) Option { return func(c *config) { c.workers = n } }
 
 // Context attaches a context for observability spans. The composed
@@ -48,8 +48,8 @@ func Context(ctx context.Context) Option { return func(c *config) { c.ctx = ctx 
 // devices' transformed synthetic streams. It implements trace.Source;
 // NextDev additionally reports which device produced each request, for
 // per-device replay attribution. Close releases the underlying profiles
-// and any parallel synthesis workers; a Stream must be closed even when
-// drained.
+// and flushes the devices' synthesis stats; a Stream must be closed even
+// when drained.
 type Stream struct {
 	m      *trace.Merger
 	total  uint64
@@ -76,8 +76,8 @@ func (s *Stream) NextDev() (trace.Request, int, bool) { return s.m.NextIndexed()
 // Delay adds backpressure delay to all not-yet-emitted requests.
 func (s *Stream) Delay(cycles uint64) { s.m.Delay(cycles) }
 
-// Close releases pinned profiles and abandoned synthesis workers. It is
-// safe to call more than once.
+// Close releases pinned profiles and closes the devices' synthesizers.
+// It is safe to call more than once.
 func (s *Stream) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -81,7 +81,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		func(id string) (profile.View, func(), error) {
 			return pins[id].View(), func() {}, nil
 		},
-		scenario.Workers(s.cfg.SynthWorkers), scenario.Context(ctx))
+		scenario.Context(ctx))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return

@@ -80,7 +80,7 @@ func postScenario(t *testing.T, baseURL string, spec *scenario.Spec) (int, []byt
 // The scenario acceptance invariant: the streamed composition is
 // byte-identical to the offline composer on the same spec.
 func TestScenarioStreamMatchesOfflineCompose(t *testing.T) {
-	_, ts := newTestServer(t, Config{SynthWorkers: 4})
+	_, ts := newTestServer(t, Config{})
 	views := map[string]*profile.Profile{}
 	var ids []string
 	for seed := uint64(1); seed <= 3; seed++ {

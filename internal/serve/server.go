@@ -62,10 +62,6 @@ type Config struct {
 	// FitWorkers is the worker count handed to profile fitting
 	// (0 = the MOCKTAILS_PARALLELISM / GOMAXPROCS default).
 	FitWorkers int
-	// SynthWorkers is the chunk-refill worker count per synthesis
-	// stream (0 = 1, i.e. generate on the handler goroutine; output is
-	// bit-identical for any value).
-	SynthWorkers int
 	// DiskDir, when non-empty, enables the store's disk tier: uploads
 	// are written through as flat files, RAM eviction demotes instead
 	// of discarding, and cold requests are served by memory-mapping the
@@ -117,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FitTimeout == 0 {
 		c.FitTimeout = 2 * time.Minute
-	}
-	if c.SynthWorkers == 0 {
-		c.SynthWorkers = 1
 	}
 	return c
 }
@@ -775,7 +768,7 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	// upload, the mmap-ed file for a cold hit promoted from the disk
 	// tier. They hold the same bytes, so clients cannot tell the two
 	// apart.
-	src := synth.NewFrom(pin.View(), opts.Seed, synth.Workers(s.cfg.SynthWorkers), synth.Context(ctx))
+	src := synth.NewFrom(pin.View(), opts.Seed, synth.Context(ctx))
 	defer src.Close()
 
 	mActiveStreams.Set(float64(s.active.Add(1)))

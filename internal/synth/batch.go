@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"sync"
-
 	"repro/internal/markov"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -10,9 +8,7 @@ import (
 
 // leafStream adapts one leafGen to chunked consumption: the merge loop
 // iterates over cur, a flat slice of pre-generated requests, instead of
-// generating per request. In parallel mode the stream double-buffers:
-// while the merge consumes cur (one slab), a refill worker fills the
-// other slab and commits it through next.
+// generating per request.
 type leafStream struct {
 	// gen is nil for eager streams: a leaf whose full output fits one
 	// chunk is generated at construction time by a stack-local generator
@@ -21,38 +17,16 @@ type leafStream struct {
 	// per-synthesis state at one exact-sized arena region per leaf.
 	gen *leafGen
 
+	// cur is the filled prefix of the leaf's region of the shared
+	// arena, capped at the region's end; pos is the next request to
+	// emit. A leaf longer than one chunk refills the region
+	// (cur[:cap(cur)]) in place, on the consumer's goroutine, when the
+	// merge has emitted all of cur.
 	cur []trace.Request
 	pos int
-
-	// slabs are the chunk buffers of a leaf longer than one chunk:
-	// slabs[0] is its region of the shared arena; slabs[1] is allocated
-	// only in parallel mode. filling is the slab index the outstanding
-	// refill writes into (owned by the worker between enqueue and
-	// commit).
-	slabs   [2][]trace.Request
-	filling int
-
-	// next transfers a filled chunk from the refill worker back to the
-	// merge loop; its capacity of one and the at-most-one-outstanding-
-	// refill invariant guarantee the worker never blocks sending.
-	next chan []trace.Request
-
-	// eof marks that the generator has been fully drained into chunks:
-	// no refill is outstanding and none may be scheduled.
-	eof bool
 }
 
-// refillJob asks a worker to fill slabs[slab] of one stream.
-type refillJob struct {
-	s    *leafStream
-	slab int
-}
-
-// batchMerger merges per-leaf chunk streams with trace.LoserTree. With
-// workers > 1 the next chunk of every stream is pre-generated
-// concurrently with the merge; every leaf draws from its own forked RNG
-// and chunks are committed in a fixed per-stream order, so the emitted
-// stream is bit-identical to the serial one.
+// batchMerger merges per-leaf chunk streams with trace.LoserTree.
 type batchMerger struct {
 	streams []*leafStream
 	lt      *trace.LoserTree
@@ -61,16 +35,12 @@ type batchMerger struct {
 
 	// pops, delayCalls and delayCycles are merge-loop-local stats
 	// (single consumer goroutine, no atomics) flushed to the registry
-	// exactly once by finish.
+	// exactly once by finish — when the last stream drains, or from
+	// Close for an abandoned synthesizer.
 	pops        uint64
 	delayCalls  uint64
 	delayCycles uint64
-
-	// jobs feeds refill requests to the worker pool; nil in serial mode.
-	// finishOnce flushes stats and closes jobs exactly once — when the
-	// last stream drains, or from Close for abandoned synthesizers.
-	jobs       chan refillJob
-	finishOnce sync.Once
+	finished    bool
 }
 
 // init builds the stream for one non-empty leaf in place — generator
@@ -85,21 +55,18 @@ type batchMerger struct {
 func (s *leafStream) init(l *profile.Leaf, seed uint64, buf []trace.Request, ar *markov.Arena) {
 	var g leafGen
 	g.init(l, seed, ar)
-	s.cur = buf[:g.fill(buf)]
+	s.cur = buf[:g.fill(buf):len(buf)]
 	if g.exhausted {
-		s.eof = true
 		return
 	}
 	s.gen = new(leafGen)
 	*s.gen = g
-	s.slabs[0] = buf
 }
 
-func newBatchMerger(streams []*leafStream, cfg config) *batchMerger {
+func newBatchMerger(streams []*leafStream) *batchMerger {
 	m := &batchMerger{streams: streams}
 	times := make([]uint64, len(streams))
 	done := make([]bool, len(streams))
-	pending := 0
 	for i, s := range streams {
 		if len(s.cur) == 0 {
 			done[i] = true
@@ -107,59 +74,12 @@ func newBatchMerger(streams []*leafStream, cfg config) *batchMerger {
 			times[i] = s.cur[0].Time
 			m.live++
 		}
-		if !s.eof {
-			pending++
-		}
 	}
 	m.lt = trace.NewLoserTree(times, done)
-
-	if cfg.workers > 1 && pending > 0 {
-		m.jobs = make(chan refillJob, len(streams))
-		w := cfg.workers
-		if w > pending {
-			w = pending
-		}
-		for i := 0; i < w; i++ {
-			go func() {
-				for j := range m.jobs {
-					n := j.s.gen.fill(j.s.slabs[j.slab])
-					j.s.next <- j.s.slabs[j.slab][:n]
-				}
-			}()
-		}
-		// Pre-schedule every unfinished stream's next chunk so it is
-		// generated concurrently with the merge. A stream that needs a
-		// second chunk necessarily had a full first one, so slabs[0] is
-		// a full chunk and double-buffering alternates two of them.
-		for _, s := range streams {
-			if s.eof {
-				continue
-			}
-			s.next = make(chan []trace.Request, 1)
-			s.slabs[1] = make([]trace.Request, batch)
-			s.filling = 1
-			m.jobs <- refillJob{s: s, slab: 1}
-		}
-	}
 	if m.live == 0 {
-		m.close()
+		m.finish()
 	}
 	return m
-}
-
-// commitChunk installs a chunk received from a refill worker as the
-// stream's current one and, unless the generator is now drained,
-// schedules the next refill into the slab the chunk replaced. Reading
-// gen.exhausted is safe: the worker's send on next happens after its
-// fill, and no refill is outstanding once the chunk is received.
-func (m *batchMerger) commitChunk(s *leafStream, chunk []trace.Request) {
-	s.cur, s.pos = chunk, 0
-	if s.gen.exhausted {
-		s.eof = true
-		return
-	}
-	s.filling = 1 - s.filling
-	m.jobs <- refillJob{s: s, slab: s.filling}
 }
 
 // Next returns the globally next request.
@@ -175,30 +95,28 @@ func (m *batchMerger) Next() (trace.Request, bool) {
 	m.pops++
 	if s.pos < len(s.cur) {
 		m.lt.Replace(s.cur[s.pos].Time)
-	} else if m.refill(s) {
+	} else if s.refill() {
 		m.lt.Replace(s.cur[0].Time)
 	} else {
 		m.lt.Remove()
 		m.live--
 		if m.live == 0 {
-			m.close()
+			m.finish()
 		}
 	}
 	return req, true
 }
 
-// refill obtains the stream's next chunk, returning false when the
-// stream is exhausted.
-func (m *batchMerger) refill(s *leafStream) bool {
-	if s.eof {
+// refill generates the stream's next chunk into its arena region,
+// returning false when the stream is exhausted.
+func (s *leafStream) refill() bool {
+	if s.gen == nil {
 		return false
 	}
-	if m.jobs != nil {
-		m.commitChunk(s, <-s.next)
-	} else {
-		n := s.gen.fill(s.slabs[0])
-		s.cur, s.pos = s.slabs[0][:n], 0
-		s.eof = s.gen.exhausted
+	buf := s.cur[:cap(s.cur)]
+	s.cur, s.pos = buf[:s.gen.fill(buf)], 0
+	if s.gen.exhausted {
+		s.gen = nil
 	}
 	return len(s.cur) > 0
 }
@@ -210,20 +128,13 @@ func (m *batchMerger) Delay(cycles uint64) {
 	m.delayCycles += cycles
 }
 
-// close releases the refill workers and flushes the merge-loop stats to
-// the registry. Safe because no stream has an outstanding refill when
-// it is called: drained streams are eof, and Close's contract is that
-// the caller has stopped calling Next.
-func (m *batchMerger) close() {
-	m.finishOnce.Do(func() {
-		mRequests.Add(m.pops)
-		mDelayCalls.Add(m.delayCalls)
-		mDelayCycles.Add(m.delayCycles)
-		if m.jobs != nil {
-			close(m.jobs)
-		}
-	})
+// finish flushes the merge-loop stats to the registry, once.
+func (m *batchMerger) finish() {
+	if m.finished {
+		return
+	}
+	m.finished = true
+	mRequests.Add(m.pops)
+	mDelayCalls.Add(m.delayCalls)
+	mDelayCycles.Add(m.delayCycles)
 }
-
-// Close releases the refill workers of an abandoned parallel merger.
-func (m *batchMerger) Close() { m.close() }

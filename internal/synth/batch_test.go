@@ -136,7 +136,7 @@ func assertSameTrace(t *testing.T, label string, got, want trace.Trace) {
 
 // TestBatchedMatchesOldSynthesisPath asserts the tentpole invariant: the
 // rebuilt hot path (cached-total/Fenwick sampling, loser-tree merge,
-// chunked fills, parallel refill) emits a stream byte-identical to the
+// chunked fills, parallel setup) emits a stream byte-identical to the
 // pre-optimisation heap-based path, for a fixed (profile, seed), with
 // and without backpressure delays, on profiles whose leaves end on
 // either side of a chunk boundary.
@@ -162,7 +162,7 @@ func TestBatchedMatchesOldSynthesisPath(t *testing.T) {
 }
 
 // TestSerialVsParallelSynthesisIdentical pins the determinism contract
-// of the parallel chunk-refill stage across worker counts, with leaves
+// of the parallel per-leaf setup across worker counts, with leaves
 // ending on either side of a chunk boundary.
 func TestSerialVsParallelSynthesisIdentical(t *testing.T) {
 	tr := workload(21, 4000)
@@ -176,25 +176,52 @@ func TestSerialVsParallelSynthesisIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelSynthesizerClose exercises abandoning a parallel stream
-// mid-flight, with refills outstanding; under -race this also proves
-// the refill pipeline shuts down without leaking blocked workers.
-func TestParallelSynthesizerClose(t *testing.T) {
+// TestSynthesizerCounters checks the stats a synthesizer flushes on a
+// profile whose leaves refill: a drained stream adds exactly Requests()
+// to synth.requests and one chunk per refill to synth.chunks, and an
+// abandoned stream closed twice adds its pops once.
+func TestSynthesizerCounters(t *testing.T) {
 	tr := workload(22, 3000)
-	cfgs := chunkBoundaryConfigs()
-	p := buildProfile(t, tr, cfgs[len(cfgs)-1])
-	s := New(p, 1, Workers(4))
-	for i := 0; i < 100; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatal("stream ended early")
+	for ci, cfg := range chunkBoundaryConfigs() {
+		p := buildProfile(t, tr, cfg)
+		refills := uint64(0)
+		for i := range p.Leaves {
+			if c := uint64(p.Leaves[i].Count); c > 0 {
+				refills += (c+batch-1)/batch - 1
+			}
+		}
+
+		reqs0, chunks0, leaves0 := mRequests.Value(), mChunks.Value(), mLeaves.Value()
+		s := New(p, 1)
+		n := len(trace.Collect(s, 0))
+		if n != p.Requests() {
+			t.Fatalf("cfg=%d: drained %d requests, want %d", ci, n, p.Requests())
+		}
+		s.Close()
+		if got := mRequests.Value() - reqs0; got != uint64(p.Requests()) {
+			t.Errorf("cfg=%d: synth.requests grew by %d after a drain, want %d", ci, got, p.Requests())
+		}
+		chunks, leaves := mChunks.Value()-chunks0, mLeaves.Value()-leaves0
+		if chunks-leaves != refills {
+			t.Errorf("cfg=%d: synth.chunks - synth.leaves = %d, want %d refills", ci, chunks-leaves, refills)
+		}
+
+		reqs0 = mRequests.Value()
+		s = New(p, 1)
+		for i := 0; i < 300; i++ {
+			if _, ok := s.Next(); !ok {
+				t.Fatalf("cfg=%d: stream ended after %d requests", ci, i)
+			}
+		}
+		if got := mRequests.Value() - reqs0; got != 0 {
+			t.Errorf("cfg=%d: synth.requests grew by %d before Close", ci, got)
+		}
+		s.Close()
+		s.Close()
+		if got := mRequests.Value() - reqs0; got != 300 {
+			t.Errorf("cfg=%d: abandoned stream closed twice added %d to synth.requests, want 300", ci, got)
 		}
 	}
-	s.Close()
-	s.Close() // idempotent
-	// A fully drained parallel stream closes itself; Close stays safe.
-	s2 := New(p, 1, Workers(4))
-	trace.Collect(s2, 0)
-	s2.Close()
 }
 
 func TestSynthesizerEmptyProfile(t *testing.T) {

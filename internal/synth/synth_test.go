@@ -214,14 +214,14 @@ func TestSizeFromValue(t *testing.T) {
 	}
 }
 
-// scheduleMerger builds a serial batch merger over fixed per-leaf
-// schedules, each held as one eager chunk.
+// scheduleMerger builds a batch merger over fixed per-leaf schedules,
+// each held as one eager chunk.
 func scheduleMerger(schedules ...[]trace.Request) *batchMerger {
 	streams := make([]*leafStream, len(schedules))
 	for i, reqs := range schedules {
-		streams[i] = &leafStream{cur: reqs, eof: true}
+		streams[i] = &leafStream{cur: reqs}
 	}
-	return newBatchMerger(streams, config{workers: 1})
+	return newBatchMerger(streams)
 }
 
 func TestMergerEmpty(t *testing.T) {
