@@ -29,6 +29,7 @@ import (
 	"repro/internal/hrd"
 	"repro/internal/partition"
 	"repro/internal/profile"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/stm"
 	"repro/internal/synth"
@@ -384,6 +385,58 @@ func BenchmarkDRAMSim(b *testing.B) {
 			b.Fatal("no requests simulated")
 		}
 	}
+}
+
+// BenchmarkScenarioReplay composes the 3-device SoC spec perfbench's
+// scenario-replay workload serves (CPU-G, T-Rex1 and HEVC1 in disjoint
+// 1 GiB windows, the GPU slowed 1.5x, the VPU sped up 4x) over flat
+// views and replays it through xbar + DRAM for a contention report,
+// one compose + replay per iteration.
+func BenchmarkScenarioReplay(b *testing.B) {
+	const gib = 1 << 30
+	views := map[string]profile.View{}
+	id := func(i int) string { return fmt.Sprintf("%064x", i+1) }
+	var total uint64
+	for i, name := range []string{"CPU-G", "T-Rex1", "HEVC1"} {
+		s, err := workloads.Find(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := core.Build(name, s.Gen(), core.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf, err := profile.MarshalFlat(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := profile.OpenFlat(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		views[id(i)] = f
+		total += uint64(f.Requests())
+	}
+	spec := &scenario.Spec{Output: "stats", Devices: []scenario.Device{
+		{Profile: id(0), Name: "cpu", Seed: 1, Window: &scenario.Window{Base: 0, Size: gib}},
+		{Profile: id(1), Name: "gpu", Seed: 2, Dilation: 1.5, Window: &scenario.Window{Base: gib, Size: gib}},
+		{Profile: id(2), Name: "vpu", Seed: 3, Dilation: 0.25, Window: &scenario.Window{Base: 2 * gib, Size: gib}},
+	}}
+	resolve := func(id string) (profile.View, func(), error) { return views[id], func() {}, nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := scenario.Compose(spec.WithSeedOffset(uint64(i)), resolve)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep := scenario.Replay(st, spec, dram.Default())
+		st.Close()
+		if rep.Requests != total {
+			b.Fatalf("replayed %d requests, want %d", rep.Requests, total)
+		}
+	}
+	b.SetBytes(int64(total))
 }
 
 func BenchmarkDynamicPartition(b *testing.B) {

@@ -26,6 +26,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -342,21 +343,46 @@ func cmdConvert(args []string) {
 	}
 	_, stop := of.Start("mocktails.convert")
 	defer stop()
-	p := readProfile(*in)
+	p, f, err := loadProfile(*in)
+	if err != nil {
+		fatal(err)
+	}
+	// A flat input converted to flat is written as the verified bytes it
+	// is, with no decode or re-encode. Everything is read out of the
+	// input (a mapping of it, for a flat file) before -out is created,
+	// so -out may name the input.
+	var flat []byte
+	var leaves int
+	if f != nil {
+		leaves = f.NumLeaves()
+		if target == "flat" {
+			flat = bytes.Clone(f.Bytes())
+		} else {
+			p = f.Profile()
+		}
+		f.Close()
+	} else {
+		leaves = len(p.Leaves)
+	}
 	o, err := os.Create(*out)
 	if err != nil {
 		fatal(err)
 	}
-	defer o.Close()
-	if target == "flat" {
+	switch {
+	case flat != nil:
+		_, err = o.Write(flat)
+	case target == "flat":
 		err = profile.WriteFlat(o, p)
-	} else {
+	default:
 		err = profile.WriteGzip(o, p)
+	}
+	if cerr := o.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("converted %s (%d leaves) to %s encoding: %s\n", *in, len(p.Leaves), target, *out)
+	fmt.Printf("converted %s (%d leaves) to %s encoding: %s\n", *in, leaves, target, *out)
 }
 
 func cmdSynth(args []string) {

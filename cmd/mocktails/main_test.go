@@ -251,6 +251,18 @@ func TestCLIFlatFormat(t *testing.T) {
 	if !fileEqual(t, convFlat, flatProf) {
 		t.Fatal("converted flat file differs from directly-written one")
 	}
+	// convert flat -> flat writes the input bytes unchanged, also when
+	// -out names the input file itself.
+	flatCopy := filepath.Join(dir, "copy.mfp")
+	if out, code := runSelf(t, "convert", "-in", flatProf, "-out", flatCopy); code != 0 {
+		t.Fatalf("convert flat to flat: exit %d, output:\n%s", code, out)
+	}
+	if out, code := runSelf(t, "convert", "-in", flatCopy, "-out", flatCopy); code != 0 {
+		t.Fatalf("convert flat to flat in place: exit %d, output:\n%s", code, out)
+	}
+	if !fileEqual(t, flatCopy, flatProf) {
+		t.Fatal("flat -> flat conversion changed the bytes")
+	}
 	if out, code := runSelf(t, "convert", "-in", convFlat, "-out", convGz, "-to", "gz"); code != 0 {
 		t.Fatalf("convert to gz: exit %d, output:\n%s", code, out)
 	}

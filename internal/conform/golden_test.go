@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -269,6 +270,50 @@ func goldenDRAM(t *testing.T, traces map[string]trace.Trace, configs map[string]
 		}),
 	})
 	return out
+}
+
+// TestGoldenReplayMatchesSerialLoop checks scenario.Replay, which
+// merges and injects on two goroutines, against one serial loop that
+// pulls each request of the golden 3-device scenario, injects it and
+// feeds its delay back through Stream.Delay.
+func TestGoldenReplayMatchesSerialLoop(t *testing.T) {
+	traces, configs := goldenTraces(), goldenConfigs()
+	spec, st := composeThreeDevices(t, traces, configs)
+	got := scenario.Replay(st, spec, dram.Default())
+	st.Close()
+
+	spec, st = composeThreeDevices(t, traces, configs)
+	defer st.Close()
+	devs := make([]dram.DeviceStats, len(spec.Devices))
+	sys := dram.NewSystem(dram.Default(), spec.XbarLatency)
+	for {
+		r, di, ok := st.NextDev()
+		if !ok {
+			break
+		}
+		if d := sys.InjectTagged(r, &devs[di]); d > 0 {
+			st.Delay(d)
+		}
+	}
+	sys.Drain()
+	res := sys.Result()
+	want := scenario.Report{
+		Requests: res.Requests, ReadBursts: res.ReadBursts(), WriteBursts: res.WriteBursts(),
+		ReadRowHits: res.ReadRowHits(), WriteRowHits: res.WriteRowHits(),
+		AvgReadQueueLen: res.AvgReadQueueLen(), AvgWriteQueueLen: res.AvgWriteQueueLen(),
+		AvgLatency: res.AvgLatency, Devices: got.Devices,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Replay aggregate diverges from the serial loop:\n got %+v\nwant %+v", got, want)
+	}
+	for i, d := range devs {
+		g := got.Devices[i]
+		if g.Requests != d.Requests || g.ReadBursts != d.ReadBursts || g.WriteBursts != d.WriteBursts ||
+			g.ReadRowHits != d.ReadRowHits || g.WriteRowHits != d.WriteRowHits ||
+			g.AvgQueueLen != d.AvgQueueLen() || g.AvgLatency != d.AvgLatency() {
+			t.Errorf("device %d diverges from the serial loop: got %+v, want %+v", i, g, d)
+		}
+	}
 }
 
 // goldenTable2 computes the profile digest of every full-length Table

@@ -71,6 +71,18 @@ type bankState struct {
 	open    bool
 	row     uint64
 	readyAt uint64
+	// hits counts the queued bursts that target the open row, per
+	// queue (0 read, 1 write); both are zero while the bank is closed.
+	hits [2]int32
+}
+
+// qIndex is a burst's queue index in bankState.hits and
+// channel.rowHits: 0 for the read queue, 1 for the write queue.
+func qIndex(write bool) int {
+	if write {
+		return 1
+	}
+	return 0
 }
 
 // channel is one memory channel: two queues, a bank array, and a
@@ -81,8 +93,17 @@ type channel struct {
 	sys   *System // owns the request slab bursts index
 	banks []bankState
 
-	readQ  []burst
-	writeQ []burst
+	// readQ and writeQ are windows of readBack and writeBack. Removal
+	// shifts the bursts in front of the removed one, so the window's
+	// start advances; push moves it back to the front of its backing
+	// array when it reaches the end. A queue never holds more than
+	// max(depth, 1) bursts (reserve services one before admitting the
+	// next), so the backing arrays never grow.
+	readQ, readBack   []burst
+	writeQ, writeBack []burst
+	// rowHits counts the queued bursts that target their bank's open
+	// row, per queue: the sum of the banks' hits.
+	rowHits [2]int
 
 	busFree   uint64
 	lastWrite bool
@@ -135,6 +156,8 @@ func newChannel(cfg Config, id int, sys *System) *channel {
 		sys:         sys,
 		writeHigh:   cfg.writeHigh(),
 		writeLow:    cfg.writeLow(),
+		readBack:    make([]burst, max(cfg.ReadQueueDepth, 1)),
+		writeBack:   make([]burst, max(cfg.WriteQueueDepth, 1)),
 		banks:       make([]bankState, cfg.banks()),
 		cc:          newChargeCache(cfg.ChargeCacheEntries),
 		nextRefresh: cfg.TREFI,
@@ -173,9 +196,9 @@ func (c *channel) reserve(write bool, at uint64) uint64 {
 // push appends a burst, admitted by reserve at b.arrival, to the tail
 // of its queue and records the queue length it observed.
 func (c *channel) push(b burst, dev *DeviceStats) {
-	q := &c.readQ
+	q, back := &c.readQ, c.readBack
 	if b.write {
-		q = &c.writeQ
+		q, back = &c.writeQ, c.writeBack
 		c.stats.WriteQLenSeen.Add(len(*q))
 		c.stats.WriteBursts++
 	} else {
@@ -190,6 +213,13 @@ func (c *channel) push(b burst, dev *DeviceStats) {
 		}
 		dev.qlenSum += uint64(len(*q))
 		dev.qlenN++
+	}
+	if bk := &c.banks[b.bank]; bk.open && bk.row == b.row {
+		bk.hits[qIndex(b.write)]++
+		c.rowHits[qIndex(b.write)]++
+	}
+	if len(*q) == cap(*q) {
+		*q = back[:copy(back, *q)]
 	}
 	*q = append(*q, b)
 }
@@ -223,9 +253,16 @@ func (c *channel) step() bool {
 	if len(*q) == 0 {
 		return false
 	}
-	idx := c.pickFRFCFS(*q)
+	idx := c.pickFRFCFS(*q, qIndex(writeMode))
 	b := (*q)[idx]
-	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	// Shift the older bursts over the removed one: an FCFS pick
+	// (idx 0) moves nothing.
+	copy((*q)[1:idx+1], (*q)[:idx])
+	*q = (*q)[1:]
+	if bk := &c.banks[b.bank]; bk.open && bk.row == b.row {
+		bk.hits[qIndex(b.write)]--
+		c.rowHits[qIndex(b.write)]--
+	}
 	c.service(b)
 	return true
 }
@@ -263,8 +300,12 @@ func (c *channel) chooseMode() bool {
 // row-hitting burst if any (first ready), otherwise the oldest burst
 // (first come, first served). Queues are in arrival order, so the
 // first row hit by position is the oldest one, and position 0 is the
-// oldest burst.
-func (c *channel) pickFRFCFS(q []burst) int {
+// oldest burst. qi is q's queue index; a queue with no row hit is not
+// scanned.
+func (c *channel) pickFRFCFS(q []burst, qi int) int {
+	if c.rowHits[qi] == 0 {
+		return 0
+	}
 	for i := range q {
 		bk := &c.banks[q[i].bank]
 		if bk.open && bk.row == q[i].row {
@@ -290,10 +331,12 @@ func (c *channel) service(b burst) {
 		refEnd := c.nextRefresh + c.cfg.TRFC
 		for i := range c.banks {
 			c.banks[i].open = false
+			c.banks[i].hits = [2]int32{}
 			if c.banks[i].readyAt < refEnd {
 				c.banks[i].readyAt = refEnd
 			}
 		}
+		c.rowHits = [2]int{}
 		c.stats.Refreshes++
 		c.nextRefresh += c.cfg.TREFI
 		if start < refEnd {
@@ -325,10 +368,11 @@ func (c *channel) service(b burst) {
 	default:
 		prep = c.activate(b.bank, b.row) // closed: activate only
 	}
+	if !hit {
+		c.openRow(b.bank, b.row)
+	}
 	done := start + prep + c.cfg.TCL + c.cfg.TBurst
 	c.busFree = done
-	bk.open = true
-	bk.row = b.row
 	bk.readyAt = done
 	if b.write {
 		bk.readyAt += c.cfg.TWR
@@ -358,7 +402,7 @@ func (c *channel) service(b burst) {
 
 	// Open-adaptive page policy: close the row when nothing queued wants
 	// it, keeping it open otherwise.
-	if !c.pendingForRow(b.bank, b.row) {
+	if bk.hits == [2]int32{} {
 		bk.open = false
 		c.closeRow(b.bank, b.row)
 		if bk.readyAt < done+c.cfg.TRP {
@@ -390,17 +434,20 @@ func (c *channel) closeRow(bank int32, row uint64) {
 	}
 }
 
-// pendingForRow reports whether any queued burst targets the bank's row.
-func (c *channel) pendingForRow(bank int32, row uint64) bool {
-	for i := range c.readQ {
-		if c.readQ[i].bank == bank && c.readQ[i].row == row {
-			return true
-		}
+// openRow opens row in bank and counts the queued bursts that target
+// it, replacing the counts of the row it closes.
+func (c *channel) openRow(bank int32, row uint64) {
+	bk := &c.banks[bank]
+	for qi, n := range bk.hits {
+		c.rowHits[qi] -= int(n)
 	}
-	for i := range c.writeQ {
-		if c.writeQ[i].bank == bank && c.writeQ[i].row == row {
-			return true
+	bk.open, bk.row, bk.hits = true, row, [2]int32{}
+	for qi, q := range [2][]burst{c.readQ, c.writeQ} {
+		for i := range q {
+			if q[i].bank == bank && q[i].row == row {
+				bk.hits[qi]++
+			}
 		}
+		c.rowHits[qi] += int(bk.hits[qi])
 	}
-	return false
 }

@@ -102,7 +102,7 @@ func Default() Config {
 }
 
 // banks returns the total banks per channel.
-func (c Config) banks() int { return c.RanksPerChannel * c.BanksPerRank }
+func (c *Config) banks() int { return c.RanksPerChannel * c.BanksPerRank }
 
 // writeHigh returns the write-drain start threshold in bursts.
 func (c Config) writeHigh() int {
@@ -121,7 +121,7 @@ func (c Config) writeLow() int {
 // mapAddr decomposes a burst-aligned address into channel, bank and row
 // following a RoBaChCo-style interleave: consecutive row-buffer-sized
 // stripes rotate across channels, then banks, with the row above.
-func (c Config) mapAddr(addr uint64) (ch, bank int, row uint64) {
+func (c *Config) mapAddr(addr uint64) (ch, bank int, row uint64) {
 	stripe := addr / c.RowBufferBytes
 	ch = int(stripe % uint64(c.Channels))
 	rest := stripe / uint64(c.Channels)

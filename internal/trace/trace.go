@@ -151,7 +151,11 @@ type Source interface {
 	// Next returns the next request and true, or false when exhausted.
 	Next() (Request, bool)
 	// Delay adds the given number of cycles of backpressure delay to all
-	// requests that have not yet been returned by Next.
+	// requests that have not yet been returned by Next. The shift is
+	// uniform: every later request moves by the same amount, so the
+	// order Next emits never depends on the feedback, and a consumer may
+	// pull ahead and add the running delay itself (scenario.Replay
+	// does).
 	Delay(cycles uint64)
 }
 
