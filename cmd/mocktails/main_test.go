@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -281,6 +283,11 @@ func TestCLIFlatFormat(t *testing.T) {
 	flatDump, code := runSelf(t, "inspect", "-in", flatProf, "-leaves", "1000")
 	if code != 0 || !strings.Contains(flatDump, "tiny") {
 		t.Fatalf("inspect flat: exit %d, output:\n%s", code, flatDump)
+	}
+	// The dump is pinned: state counts cover states with outgoing edges
+	// only, whatever the model's table layout.
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(flatDump))); got != "8d11fa23df0279aca8f059e979393f8792fb2b152c42252e5bcd8525eb756c32" {
+		t.Fatalf("inspect output changed (sha256 %s):\n%s", got, flatDump)
 	}
 	if gzDump, code := runSelf(t, "inspect", "-in", gzProf, "-leaves", "1000"); code != 0 || gzDump != flatDump {
 		t.Fatalf("inspect gz: exit %d, output differs from the flat encoding's:\ngz:\n%s\nflat:\n%s", code, gzDump, flatDump)

@@ -157,7 +157,7 @@ func modelMultiset(m *profileModel, n int) multiset {
 	}
 	ms[m.Initial]++
 	for j, to := range m.To {
-		ms[to] += int64(m.N[j])
+		ms[m.Vals[to]] += int64(m.N[j])
 	}
 	return ms
 }

@@ -10,7 +10,6 @@
 package markov
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -26,8 +25,8 @@ type Edge struct {
 
 // Row holds the outgoing transitions of one state, sorted by To for
 // deterministic iteration and serialisation. Rows are a construction
-// convenience (see FromRows); the model itself stores the table
-// flattened.
+// convenience keyed by value (see FromRows and RowAt); the model itself
+// stores the table over dense value indices.
 type Row struct {
 	From  int64
 	Edges []Edge
@@ -36,15 +35,18 @@ type Row struct {
 // Model is a McC ("Markov chain or Constant") model of one feature.
 // The zero value is an empty model; build one with Fit or FromRows.
 //
-// The transition table is stored as flat parallel arrays rather than
-// nested row structures: state i is From[i] (sorted ascending), and its
-// outgoing edges occupy To[RowOff[i]:RowOff[i+1]] / N[RowOff[i]:
-// RowOff[i+1]], sorted by target. The layout is what the flat profile
-// encoding maps directly from disk (package profile), and what the
-// Generator binds to without per-row allocations. RowSum, Vals and ValN
-// are derived tables (see Finish) that make generator setup
-// allocation-free: callers that fill From/RowOff/To/N by hand must call
-// Finish before generating.
+// The transition table is stored over dense value indices, as flat
+// parallel arrays. Vals holds the model's distinct values sorted
+// ascending — every source, every target and the initial value — and a
+// chain state is an index into it. Row k, value k's outgoing edges,
+// occupies To[RowOff[k]:RowOff[k+1]] / N[RowOff[k]:RowOff[k+1]], with
+// To holding value indices sorted ascending; a value that never occurs
+// as a source has an empty row. Generation therefore indexes every
+// table directly and never searches for a value. The layout is what
+// the flat profile encoding maps directly from disk (package profile),
+// and what the Generator binds to without per-row allocations. RowSum
+// and ValN are derived tables (see Finish): callers that fill
+// Vals/RowOff/To/N by hand must call Finish before generating.
 type Model struct {
 	// Constant is true when the feature never changes value in the
 	// training sequence; Value holds that value.
@@ -52,23 +54,23 @@ type Model struct {
 	Value    int64
 
 	// Initial is the first value of the training sequence; generation
-	// starts here.
+	// starts here. It is always one of Vals.
 	Initial int64
 
-	// From holds the source states, sorted ascending; RowOff (len
-	// len(From)+1) delimits each state's edge span in To and N.
-	From   []int64
+	// Vals holds the distinct values, sorted ascending; RowOff (len
+	// len(Vals)+1) delimits each value's edge span in To and N.
+	Vals   []int64
 	RowOff []uint32
-	To     []int64
+	To     []uint32
 	N      []uint32
 
-	// RowSum[i] is the total training count of row i — the static
-	// fallback distribution's normaliser. Vals is the sorted value
-	// multiset of the model (every transition target plus the initial
-	// value) and ValN each value's multiplicity; strict convergence
-	// replays exactly this multiset. All three are derived by Finish.
+	// RowSum[k] is the total training count of row k — the static
+	// fallback distribution's normaliser. ValN[k] is value k's
+	// multiplicity in the model's value multiset (its in-degree, plus
+	// one for the initial value; zero for a value that is only ever a
+	// source); strict convergence replays exactly this multiset. Both
+	// are derived by Finish.
 	RowSum []uint64
-	Vals   []int64
 	ValN   []uint32
 }
 
@@ -90,123 +92,140 @@ func Fit(seq []int64) Model {
 	if constant {
 		return Model{Constant: true, Value: seq[0], Initial: seq[0]}
 	}
-	// Sort the observed (from, to) pairs and coalesce runs: one pass
-	// yields the row-major flat table with both rows and edges already
-	// in order, without the per-row hash maps the nested builder used.
-	type trans struct{ from, to int64 }
-	ts := make([]trans, len(seq)-1)
-	for i := 1; i < len(seq); i++ {
-		ts[i-1] = trans{seq[i-1], seq[i]}
+	// Dense-rank the sequence with one sort of its values, then sort
+	// the transitions as packed rankFrom<<32|rankTo keys: the sorted
+	// keys coalesce, run by run, into the row-major table with rows
+	// and edges already in order.
+	sorted := slices.Clone(seq)
+	slices.Sort(sorted)
+	m := Model{Initial: seq[0], Vals: slices.Clone(slices.Compact(sorted))}
+	rank := func(v int64) uint64 {
+		i, _ := slices.BinarySearch(m.Vals, v)
+		return uint64(i)
 	}
-	slices.SortFunc(ts, func(a, b trans) int {
-		if c := cmp.Compare(a.from, b.from); c != 0 {
-			return c
+	keys := make([]uint64, len(seq)-1)
+	prev := rank(seq[0])
+	for i, v := range seq[1:] {
+		r := rank(v)
+		keys[i] = prev<<32 | r
+		prev = r
+	}
+	slices.Sort(keys)
+	edges := 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			edges++
 		}
-		return cmp.Compare(a.to, b.to)
-	})
-	m := Model{Initial: seq[0]}
-	m.To = make([]int64, 0, len(ts))
-	m.N = make([]uint32, 0, len(ts))
-	for i := 0; i < len(ts); {
-		j := i
-		for j < len(ts) && ts[j] == ts[i] {
+	}
+	m.RowOff = make([]uint32, len(m.Vals)+1)
+	m.To = make([]uint32, 0, edges)
+	m.N = make([]uint32, 0, edges)
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
 			j++
 		}
-		if len(m.From) == 0 || m.From[len(m.From)-1] != ts[i].from {
-			m.From = append(m.From, ts[i].from)
-			m.RowOff = append(m.RowOff, uint32(len(m.To)))
-		}
-		m.To = append(m.To, ts[i].to)
+		m.RowOff[keys[i]>>32+1]++
+		m.To = append(m.To, uint32(keys[i]))
 		m.N = append(m.N, uint32(j-i))
 		i = j
 	}
-	m.RowOff = append(m.RowOff, uint32(len(m.To)))
-	// Coalescing can leave the edge arrays far below their len(seq)-1
-	// capacity — repetitive sequences have few distinct transitions.
-	// Reallocate when the slack is material so a retained model costs
-	// O(distinct edges), not O(training sequence).
-	if cap(m.To)-len(m.To) > len(m.To)/4 {
-		m.To = slices.Clone(m.To)
-		m.N = slices.Clone(m.N)
+	for k := range m.Vals {
+		m.RowOff[k+1] += m.RowOff[k]
 	}
 	m.Finish()
 	return m
 }
 
-// FromRows builds a model from nested rows (sorted by From, edges
-// sorted by To) — the shape construction-time callers like the privacy
-// noising pass naturally produce — and derives the generation tables.
+// FromRows builds a model from value-keyed rows — the shape
+// construction-time callers like the privacy noising pass naturally
+// produce — and derives the generation tables. Rows must be sorted by
+// From with no From repeated, and each row's edges sorted by To with no
+// To repeated; the profile codec checks this before calling. A row with
+// no edges is the same as no row at all.
 func FromRows(initial int64, rows []Row) Model {
 	edges := 0
 	for i := range rows {
 		edges += len(rows[i].Edges)
 	}
-	m := Model{Initial: initial}
-	m.From = make([]int64, len(rows))
-	m.RowOff = make([]uint32, len(rows)+1)
-	m.To = make([]int64, 0, edges)
-	m.N = make([]uint32, 0, edges)
+	vals := make([]int64, 0, 1+len(rows)+edges)
+	vals = append(vals, initial)
 	for i := range rows {
-		m.From[i] = rows[i].From
-		m.RowOff[i] = uint32(len(m.To))
+		vals = append(vals, rows[i].From)
 		for _, e := range rows[i].Edges {
-			m.To = append(m.To, e.To)
-			m.N = append(m.N, e.N)
+			vals = append(vals, e.To)
 		}
 	}
-	m.RowOff[len(rows)] = uint32(len(m.To))
+	slices.Sort(vals)
+	m := Model{Initial: initial, Vals: slices.Clip(slices.Compact(vals))}
+	m.RowOff = make([]uint32, len(m.Vals)+1)
+	m.To = make([]uint32, 0, edges)
+	m.N = make([]uint32, 0, edges)
+	r := 0
+	for k, v := range m.Vals {
+		m.RowOff[k] = uint32(len(m.To))
+		if r < len(rows) && rows[r].From == v {
+			t := 0 // targets ascend, so each search starts past the last
+			for _, e := range rows[r].Edges {
+				i, _ := slices.BinarySearch(m.Vals[t:], e.To)
+				t += i
+				m.To = append(m.To, uint32(t))
+				m.N = append(m.N, e.N)
+			}
+			r++
+		}
+	}
+	m.RowOff[len(m.Vals)] = uint32(len(m.To))
 	m.Finish()
 	return m
 }
 
-// Finish derives the generation tables (RowSum, Vals, ValN) from the
-// transition table. Fit and FromRows return finished models; callers
-// that fill From/RowOff/To/N directly — the profile codec, hand-built
-// test models — must call Finish before generating, and again after
-// mutating edge counts.
+// Finish derives the generation tables (RowSum, ValN) from the
+// transition table in one linear pass. Fit and FromRows return finished
+// models; callers that fill Vals/RowOff/To/N directly — hand-built test
+// models — must call Finish before generating, and again after mutating
+// edge counts.
 func (m *Model) Finish() {
 	if m.Constant {
-		m.RowSum, m.Vals, m.ValN = nil, nil, nil
+		m.RowSum, m.ValN = nil, nil
 		return
 	}
-	n := len(m.From)
-	m.RowSum = make([]uint64, n)
-	for i := 0; i < n; i++ {
+	m.RowSum = make([]uint64, len(m.Vals))
+	m.ValN = make([]uint32, len(m.Vals))
+	for k := range m.Vals {
 		var s uint64
-		for j := m.RowOff[i]; j < m.RowOff[i+1]; j++ {
+		for j := m.RowOff[k]; j < m.RowOff[k+1]; j++ {
 			s += uint64(m.N[j])
+			m.ValN[m.To[j]] += m.N[j]
 		}
-		m.RowSum[i] = s
+		m.RowSum[k] = s
 	}
-	// The value multiset: each value's in-degree, plus one for the
-	// initial value, derived by sorting and coalescing the edge list.
-	pairs := make([]Edge, 0, len(m.To)+1)
-	for j := range m.To {
-		pairs = append(pairs, Edge{To: m.To[j], N: m.N[j]})
-	}
-	pairs = append(pairs, Edge{To: m.Initial, N: 1})
-	sortEdgesByTo(pairs)
-	k := 0
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].To == pairs[k].To {
-			pairs[k].N += pairs[i].N
-		} else {
-			k++
-			pairs[k] = pairs[i]
-		}
-	}
-	pairs = pairs[:k+1]
-	m.Vals = make([]int64, len(pairs))
-	m.ValN = make([]uint32, len(pairs))
-	for i, p := range pairs {
-		m.Vals[i] = p.To
-		m.ValN[i] = p.N
+	if i := m.InitialIndex(); i >= 0 {
+		m.ValN[i]++
 	}
 }
 
-// States returns the number of states in the transition table (0 for a
-// Constant model).
-func (m *Model) States() int { return len(m.From) }
+// InitialIndex returns the index of Initial in Vals, or -1 when it is
+// missing (never for a model built by Fit or FromRows; the flat codec
+// rejects such models on open).
+func (m *Model) InitialIndex() int {
+	if i, ok := slices.BinarySearch(m.Vals, m.Initial); ok {
+		return i
+	}
+	return -1
+}
+
+// States returns the number of states with outgoing transitions (0 for
+// a Constant model).
+func (m *Model) States() int {
+	n := 0
+	for k := range m.Vals {
+		if m.RowOff[k] != m.RowOff[k+1] {
+			n++
+		}
+	}
+	return n
+}
 
 // Transitions returns the total training transition count.
 func (m *Model) Transitions() int {
@@ -225,29 +244,16 @@ func (m *Model) String() string {
 	return fmt.Sprintf("Markov(states=%d, transitions=%d, initial=%d)", m.States(), m.Transitions(), m.Initial)
 }
 
-// RowAt materialises state i's nested view; for iteration convenience
-// in cold paths (tests, dumps) — hot paths index the flat arrays.
-func (m *Model) RowAt(i int) Row {
-	lo, hi := m.RowOff[i], m.RowOff[i+1]
+// RowAt materialises value k's row keyed by value; for iteration
+// convenience in cold paths (tests, codecs) — hot paths index the flat
+// arrays.
+func (m *Model) RowAt(k int) Row {
+	lo, hi := m.RowOff[k], m.RowOff[k+1]
 	edges := make([]Edge, hi-lo)
 	for j := range edges {
-		edges[j] = Edge{To: m.To[lo+uint32(j)], N: m.N[lo+uint32(j)]}
+		edges[j] = Edge{To: m.Vals[m.To[lo+uint32(j)]], N: m.N[lo+uint32(j)]}
 	}
-	return Row{From: m.From[i], Edges: edges}
-}
-
-// rowIndex returns the index of state from, or -1.
-func (m *Model) rowIndex(from int64) int {
-	return rowSearch(m.From, from)
-}
-
-// rowSearch binary-searches the sorted state list for from, or -1.
-func rowSearch(states []int64, from int64) int {
-	i := sort.Search(len(states), func(i int) bool { return states[i] >= from })
-	if i < len(states) && states[i] == from {
-		return i
-	}
-	return -1
+	return Row{From: m.Vals[k], Edges: edges}
 }
 
 // fenwickMin is the distribution size above which the sampling kernels
@@ -288,28 +294,32 @@ func (m *Model) ArenaSize() (n32, n64 int) {
 	if m.Constant {
 		return 0, 0
 	}
-	n := len(m.From)
-	n32 = len(m.To) + len(m.ValN)
+	n := len(m.Vals)
+	n32 = len(m.To) + n
 	n64 = n
-	maxRow, bigEdges, bigRows := 0, 0, 0
-	for i := 0; i < n; i++ {
-		e := int(m.RowOff[i+1] - m.RowOff[i])
-		if e > maxRow {
-			maxRow = e
-		}
+	maxRow, bigEdges, bigRows := m.bigRows()
+	if maxRow >= fenwickMin {
+		n32 += n                    // fenIdx
+		n64 += 2*bigEdges + bigRows // per big row: tree (e+1) + prefix sums (e)
+	}
+	if n >= fenwickMin {
+		n64 += n + 1
+	}
+	return n32, n64
+}
+
+// bigRows returns the longest row's edge count, and the edges and rows
+// of the rows at or above fenwickMin.
+func (m *Model) bigRows() (maxRow, bigEdges, bigRows int) {
+	for k := range m.Vals {
+		e := int(m.RowOff[k+1] - m.RowOff[k])
+		maxRow = max(maxRow, e)
 		if e >= fenwickMin {
 			bigEdges += e
 			bigRows++
 		}
 	}
-	if maxRow >= fenwickMin {
-		n32 += n                    // fenIdx
-		n64 += 2*bigEdges + bigRows // per big row: tree (e+1) + prefix sums (e)
-	}
-	if len(m.Vals) >= fenwickMin {
-		n64 += len(m.Vals) + 1
-	}
-	return n32, n64
+	return maxRow, bigEdges, bigRows
 }
 
 // noFen marks a row without a Fenwick block in Generator.fenIdx.
@@ -326,33 +336,30 @@ const noFen = ^uint32(0)
 // A Generator holds slice views of the model's immutable tables (not a
 // *Model — the model struct handed to Init may be a transient view over
 // a flat profile buffer) plus mutable strict-convergence state carved
-// from an Arena. Sampling is O(1) amortised per draw for small rows and
-// O(log n) for large ones.
+// from an Arena. Its state is a value index, so a draw indexes the row
+// and value tables directly. Sampling is O(1) amortised per draw for
+// small rows and O(log n) for large ones.
 type Generator struct {
 	// rng is held by value: a Generator owns its RNG stream outright
 	// (every caller hands it a dedicated fork), and a self-contained
 	// struct lets short-lived generators live on the stack.
 	rng     stats.RNG
-	state   int64
+	state   uint32
 	started bool
 
 	constant bool
 	value    int64
-	initial  int64
+	// initial is the initial value's index.
+	initial uint32
 
 	// Immutable model views (shared with the Model or the flat buffer
-	// behind it): states, edge spans, targets, training counts, row
-	// totals, and the sorted value multiset.
-	from      []int64
+	// behind it): the sorted values, edge spans, target indices,
+	// training counts and row totals.
+	values    []int64
 	mOff      []uint32
-	to        []int64
+	to        []uint32
 	eN        []uint32
 	fallTotal []uint64
-	values    []int64
-
-	// initRow caches the initial state's row (-1 when the initial value
-	// never occurs as a source).
-	initRow int
 
 	// Mutable strict-convergence state, arena-carved. rem holds each
 	// edge's remaining count (edge-major, spans delimited by mOff);
@@ -399,46 +406,40 @@ func (g *Generator) InitArena(m *Model, rng *stats.RNG, ar *Arena) {
 		g.constant, g.value = true, m.Value
 		return
 	}
+	init := m.InitialIndex()
+	if init < 0 {
+		// Only a hand-built model can lack its initial value; repeat it.
+		g.constant, g.value = true, m.Initial
+		return
+	}
 	if ar == nil {
 		n32, n64 := m.ArenaSize()
 		ar = &Arena{U32: make([]uint32, n32), U64: make([]uint64, n64)}
 	}
-	n := len(m.From)
-	g.initial = m.Initial
-	g.from, g.mOff, g.to, g.eN = m.From, m.RowOff, m.To, m.N
+	n := len(m.Vals)
+	g.initial = uint32(init)
+	g.values, g.mOff, g.to, g.eN = m.Vals, m.RowOff, m.To, m.N
 	g.fallTotal = m.RowSum
-	g.values = m.Vals
 
 	g.rem = ar.take32(len(m.To))
 	copy(g.rem, m.N)
-	g.valueRem = ar.take32(len(m.ValN))
+	g.valueRem = ar.take32(n)
 	copy(g.valueRem, m.ValN)
 	g.rowTotal = ar.take64(n)
 	copy(g.rowTotal, m.RowSum)
 
-	maxRow, bigEdges, bigRows := 0, 0, 0
-	for i := 0; i < n; i++ {
-		e := int(m.RowOff[i+1] - m.RowOff[i])
-		if e > maxRow {
-			maxRow = e
-		}
-		if e >= fenwickMin {
-			bigEdges += e
-			bigRows++
-		}
-	}
-	if maxRow >= fenwickMin {
+	if maxRow, bigEdges, bigRows := m.bigRows(); maxRow >= fenwickMin {
 		g.fenIdx = ar.take32(n)
 		g.fenData = ar.take64(2*bigEdges + bigRows)
 		base := 0
-		for i := 0; i < n; i++ {
-			lo, hi := m.RowOff[i], m.RowOff[i+1]
+		for k := 0; k < n; k++ {
+			lo, hi := m.RowOff[k], m.RowOff[k+1]
 			e := int(hi - lo)
 			if e < fenwickMin {
-				g.fenIdx[i] = noFen
+				g.fenIdx[k] = noFen
 				continue
 			}
-			g.fenIdx[i] = uint32(base)
+			g.fenIdx[k] = uint32(base)
 			stats.FenBuild(g.fenData[base:base+e+1], m.N[lo:hi])
 			cum := g.fenData[base+e+1 : base+2*e+1]
 			var s uint64
@@ -452,44 +453,10 @@ func (g *Generator) InitArena(m *Model, rng *stats.RNG, ar *Arena) {
 	for _, c := range g.valueRem {
 		g.remTotal += uint64(c)
 	}
-	if len(g.values) >= fenwickMin {
-		g.valueFen = ar.take64(len(g.values) + 1)
+	if n >= fenwickMin {
+		g.valueFen = ar.take64(n + 1)
 		stats.FenBuild(g.valueFen, g.valueRem)
 	}
-	g.initRow = rowSearch(g.from, g.initial)
-}
-
-// sortEdgesByTo sorts edges by To: insertion sort for the short lists
-// typical of interval-partitioned leaves, a reflection-free generic sort
-// above that. Equal keys are coalesced by the caller, so stability is
-// irrelevant.
-func sortEdgesByTo(edges []Edge) {
-	if len(edges) <= 24 {
-		for i := 1; i < len(edges); i++ {
-			for j := i; j > 0 && edges[j].To < edges[j-1].To; j-- {
-				edges[j], edges[j-1] = edges[j-1], edges[j]
-			}
-		}
-		return
-	}
-	slices.SortFunc(edges, func(a, b Edge) int {
-		switch {
-		case a.To < b.To:
-			return -1
-		case a.To > b.To:
-			return 1
-		}
-		return 0
-	})
-}
-
-// valueIndexOf returns the index of v in values, or -1.
-func (g *Generator) valueIndexOf(v int64) int {
-	i := sort.Search(len(g.values), func(i int) bool { return g.values[i] >= v })
-	if i < len(g.values) && g.values[i] == v {
-		return i
-	}
-	return -1
 }
 
 // takeValue consumes one remaining emission of values[i].
@@ -501,17 +468,17 @@ func (g *Generator) takeValue(i int) {
 	}
 }
 
-// consumeValue decrements the remaining count of v, redirecting to a
-// value that still has emissions left when v is exhausted. Once the
-// training length has been fully generated it passes values through
-// unchanged.
-func (g *Generator) consumeValue(v int64) int64 {
+// consumeValue decrements the remaining count of value k, redirecting
+// to a value that still has emissions left when k is exhausted. Once
+// the training length has been fully generated it passes values
+// through unchanged.
+func (g *Generator) consumeValue(k uint32) uint32 {
 	if g.remTotal == 0 {
-		return v
+		return k
 	}
-	if i := g.valueIndexOf(v); i >= 0 && g.valueRem[i] > 0 {
-		g.takeValue(i)
-		return v
+	if g.valueRem[k] > 0 {
+		g.takeValue(int(k))
+		return k
 	}
 	// Redirect: draw among the values that still need emitting, weighted
 	// by their remaining counts.
@@ -519,16 +486,16 @@ func (g *Generator) consumeValue(v int64) int64 {
 	if g.valueFen != nil {
 		j := stats.FenFind(g.valueFen, pick)
 		g.takeValue(j)
-		return g.values[j]
+		return uint32(j)
 	}
-	for j := range g.values {
-		if pick < uint64(g.valueRem[j]) {
+	for j, n := range g.valueRem {
+		if pick < uint64(n) {
 			g.takeValue(j)
-			return g.values[j]
+			return uint32(j)
 		}
-		pick -= uint64(g.valueRem[j])
+		pick -= uint64(n)
 	}
-	return v
+	return k
 }
 
 // Next returns the next value of the sequence. The first call returns the
@@ -541,32 +508,32 @@ func (g *Generator) Next() int64 {
 	if !g.started {
 		g.started = true
 		g.state = g.consumeValue(g.initial)
-		return g.state
+	} else {
+		g.state = g.consumeValue(g.step(g.state))
 	}
-	g.state = g.consumeValue(g.step(g.state))
-	return g.state
+	return g.values[g.state]
 }
 
-// step chooses the next state from cur. It first draws from the remaining
-// (strict-convergence) counts; if the row is exhausted it falls back to the
-// original training distribution, and if the state never appeared as a
-// source in training it restarts from the initial state's row.
-func (g *Generator) step(cur int64) int64 {
-	ri := rowSearch(g.from, cur)
-	if ri < 0 {
-		// Terminal training state: restart from the initial state.
-		ri = g.initRow
-		if ri < 0 {
-			return g.initial
+// step chooses the next state from row k. It first draws from the
+// remaining (strict-convergence) counts; if the row is exhausted it
+// falls back to the original training distribution, and if the row is
+// empty — a terminal training state — it restarts from the initial
+// value's row.
+func (g *Generator) step(k uint32) uint32 {
+	lo, hi := g.mOff[k], g.mOff[k+1]
+	if lo == hi {
+		k = g.initial
+		lo, hi = g.mOff[k], g.mOff[k+1]
+		if lo == hi {
+			return k
 		}
 	}
-	lo, hi := g.mOff[ri], g.mOff[ri+1]
 	e := int(hi - lo)
-	if total := g.rowTotal[ri]; total > 0 {
+	if total := g.rowTotal[k]; total > 0 {
 		pick := g.rng.Uint64n(total)
-		g.rowTotal[ri] = total - 1
+		g.rowTotal[k] = total - 1
 		if g.fenIdx != nil {
-			if base := g.fenIdx[ri]; base != noFen {
+			if base := g.fenIdx[k]; base != noFen {
 				tree := g.fenData[base : int(base)+e+1]
 				j := stats.FenFind(tree, pick)
 				if j >= e {
@@ -589,21 +556,17 @@ func (g *Generator) step(cur int64) int64 {
 		}
 	}
 	// Row exhausted: fall back to the original distribution.
-	total := g.fallTotal[ri]
-	if total == 0 || e == 0 {
-		// A row whose edges all carry zero counts, or a row total with no
-		// edges behind it (possible only in a hand-built or corrupted
-		// model — Fit never emits either) has no distribution to draw
-		// from; self-loop deterministically rather than divide by zero or
-		// index past the row.
-		if e > 0 {
-			return g.to[lo]
-		}
-		return g.initial
+	total := g.fallTotal[k]
+	if total == 0 {
+		// A row whose edges all carry zero counts (possible only in a
+		// hand-built or corrupted model — Fit never emits one) has no
+		// distribution to draw from; take its first edge
+		// deterministically rather than divide by zero.
+		return g.to[lo]
 	}
 	pick := g.rng.Uint64n(total)
 	if g.fenIdx != nil {
-		if base := g.fenIdx[ri]; base != noFen {
+		if base := g.fenIdx[k]; base != noFen {
 			cum := g.fenData[int(base)+e+1 : int(base)+2*e+1]
 			j := sort.Search(len(cum), func(i int) bool { return cum[i] > pick })
 			if j >= e {

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -59,21 +60,36 @@ func TestFitChain(t *testing.T) {
 
 func TestFitRowsSorted(t *testing.T) {
 	m := Fit([]int64{5, -3, 9, 5, -3, 2, 5})
-	for i := 1; i < len(m.From); i++ {
-		if m.From[i] <= m.From[i-1] {
-			t.Fatal("rows not sorted by From")
+	for i := 1; i < len(m.Vals); i++ {
+		if m.Vals[i] <= m.Vals[i-1] {
+			t.Fatal("values not sorted")
 		}
 	}
-	for i := range m.From {
-		r := m.RowAt(i)
-		for j := 1; j < len(r.Edges); j++ {
-			if r.Edges[j].To <= r.Edges[j-1].To {
+	for k := range m.Vals {
+		lo, hi := m.RowOff[k], m.RowOff[k+1]
+		for j := lo; j < hi; j++ {
+			if int(m.To[j]) >= len(m.Vals) {
+				t.Fatalf("edge %d targets index %d of %d values", j, m.To[j], len(m.Vals))
+			}
+			if j > lo && m.To[j] <= m.To[j-1] {
 				t.Fatal("edges not sorted by To")
 			}
 		}
 	}
-	if len(m.RowOff) != len(m.From)+1 || int(m.RowOff[len(m.From)]) != len(m.To) {
+	if len(m.RowOff) != len(m.Vals)+1 || int(m.RowOff[len(m.Vals)]) != len(m.To) {
 		t.Fatalf("RowOff malformed: %v over %d edges", m.RowOff, len(m.To))
+	}
+}
+
+func TestFitTerminalValueHasEmptyRow(t *testing.T) {
+	// 7 ends the sequence and occurs nowhere else: a terminal state
+	// with an empty row. Every other value has one.
+	m := Fit([]int64{5, -3, 9, 5, -3, 2, 7})
+	if k := slices.Index(m.Vals, 7); m.RowOff[k] != m.RowOff[k+1] {
+		t.Fatal("terminal value 7 has outgoing edges")
+	}
+	if m.States() != len(m.Vals)-1 {
+		t.Fatalf("States = %d, want %d", m.States(), len(m.Vals)-1)
 	}
 }
 

@@ -48,16 +48,16 @@ func noiseModel(m markov.Model, epsilon float64, rng *stats.RNG) markov.Model {
 		return m
 	}
 	var rows []markov.Row
-	for i := range m.From {
+	for k := range m.Vals {
 		var edges []markov.Edge
-		for j := m.RowOff[i]; j < m.RowOff[i+1]; j++ {
+		for j := m.RowOff[k]; j < m.RowOff[k+1]; j++ {
 			n := int64(m.N[j]) + int64(math.Round(laplace(rng, 1/epsilon)))
 			if n > 0 {
-				edges = append(edges, markov.Edge{To: m.To[j], N: uint32(n)})
+				edges = append(edges, markov.Edge{To: m.Vals[m.To[j]], N: uint32(n)})
 			}
 		}
 		if len(edges) > 0 {
-			rows = append(rows, markov.Row{From: m.From[i], Edges: edges})
+			rows = append(rows, markov.Row{From: m.Vals[k], Edges: edges})
 		}
 	}
 	if len(rows) == 0 {

@@ -52,13 +52,16 @@ func Write(w io.Writer, p *Profile) error {
 		}
 		bw.WriteByte(modelMarkov)
 		putVarint(m.Initial)
-		putUvarint(uint64(len(m.From)))
-		for r := range m.From {
-			putVarint(m.From[r])
-			lo, hi := m.RowOff[r], m.RowOff[r+1]
+		putUvarint(uint64(m.States()))
+		for k := range m.Vals {
+			lo, hi := m.RowOff[k], m.RowOff[k+1]
+			if lo == hi {
+				continue
+			}
+			putVarint(m.Vals[k])
 			putUvarint(uint64(hi - lo))
 			for j := lo; j < hi; j++ {
-				putVarint(m.To[j])
+				putVarint(m.Vals[m.To[j]])
 				putUvarint(uint64(m.N[j]))
 			}
 		}
@@ -147,17 +150,28 @@ func Read(r io.Reader) (*Profile, error) {
 			if err != nil {
 				return markov.Model{}, err
 			}
-			m := markov.Model{Initial: initial}
-			m.From = make([]int64, 0, capHint(nRows))
-			m.RowOff = make([]uint32, 1, capHint(nRows)+1)
+			// Rows arrive keyed by value, in the order Write emits them.
+			// Anything else — rows or edges out of order or repeated, or
+			// an empty row — has no canonical dense table, so it is
+			// rejected rather than normalised. Rows slice their edges
+			// out of one growing array; a row keeps pointing at the
+			// copy it was read into.
+			rows := make([]markov.Row, 0, capHint(nRows))
+			var edges []markov.Edge
 			for i := uint64(0); i < nRows; i++ {
 				from, err := getVarint()
 				if err != nil {
 					return markov.Model{}, err
 				}
+				if i > 0 && from <= rows[i-1].From {
+					return markov.Model{}, fmt.Errorf("profile: row %d source %d not above %d", i, from, rows[i-1].From)
+				}
 				nEdges, err := getUvarint()
 				if err != nil {
 					return markov.Model{}, err
+				}
+				if nEdges == 0 {
+					return markov.Model{}, fmt.Errorf("profile: row %d has no edges", i)
 				}
 				for j := uint64(0); j < nEdges; j++ {
 					to, err := getVarint()
@@ -168,14 +182,14 @@ func Read(r io.Reader) (*Profile, error) {
 					if err != nil {
 						return markov.Model{}, err
 					}
-					m.To = append(m.To, to)
-					m.N = append(m.N, uint32(n))
+					if j > 0 && to <= edges[len(edges)-1].To {
+						return markov.Model{}, fmt.Errorf("profile: row %d edge %d target %d not above %d", i, j, to, edges[len(edges)-1].To)
+					}
+					edges = append(edges, markov.Edge{To: to, N: uint32(n)})
 				}
-				m.From = append(m.From, from)
-				m.RowOff = append(m.RowOff, uint32(len(m.To)))
+				rows = append(rows, markov.Row{From: from, Edges: edges[len(edges)-int(nEdges):]})
 			}
-			m.Finish()
-			return m, nil
+			return markov.FromRows(initial, rows), nil
 		default:
 			return markov.Model{}, fmt.Errorf("profile: bad model kind %d", kind)
 		}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/markov"
@@ -28,15 +29,15 @@ import (
 
 const (
 	flatMagic   = 0x5250464d // "MFPR"
-	flatVersion = 1
+	flatVersion = 2
 
 	flatHeaderBytes = 56
-	flatSections    = 10
+	flatSections    = 9
 	flatSecEntry    = 24 // {off u64, size u64, crc32c u32, pad u32}
 	flatDataStart   = flatHeaderBytes + flatSections*flatSecEntry
 
 	leafRecBytes  = 40
-	modelRecBytes = 48
+	modelRecBytes = 40
 
 	flatModelConstant = 0
 	flatModelMarkov   = 1
@@ -45,13 +46,12 @@ const (
 	secStrings = 0 // name then config, raw bytes
 	secLeafTab = 1 // leafRecBytes per leaf
 	secModels  = 2 // modelRecBytes per model, 4 per leaf (dt, stride, op, size)
-	secRowFrom = 3 // int64 source states, row-major across all models
-	secRowOff  = 4 // uint32 edge offsets, model-relative, nRows+1 per model
-	secRowSum  = 5 // uint64 per-row training totals
-	secEdgeTo  = 6 // int64 transition targets
-	secEdgeN   = 7 // uint32 transition counts
-	secValVal  = 8 // int64 sorted value multiset
-	secValN    = 9 // uint32 value multiplicities
+	secRowOff  = 3 // uint32 edge offsets, model-relative, nVals+1 per model
+	secRowSum  = 4 // uint64 per-value row training totals, parallel to secValVal
+	secEdgeTo  = 5 // uint32 transition targets, model-relative value indices
+	secEdgeN   = 6 // uint32 transition counts
+	secValVal  = 7 // int64 sorted distinct values, one row each
+	secValN    = 8 // uint32 value multiplicities
 )
 
 var flatCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -72,7 +72,7 @@ type flatOpts struct {
 
 // FlatNoVerify skips the per-section checksum pass on open, leaving
 // only the header checksum and the structural bounds validation — the
-// O(header + rows) fast path for buffers the caller already trusts
+// O(header + edges) fast path for buffers the caller already trusts
 // (serve disk-tier files whose bytes hash to their content address).
 // Structural validation alone guarantees synthesis cannot index out of
 // bounds; checksums additionally catch bit rot.
@@ -93,10 +93,9 @@ type Flat struct {
 
 	leafTab  []byte
 	modelTab []byte
-	rowFrom  []int64
 	rowOff   []uint32
 	rowSum   []uint64
-	edgeTo   []int64
+	edgeTo   []uint32
 	edgeN    []uint32
 	valVal   []int64
 	valN     []uint32
@@ -163,7 +162,7 @@ func sliceI64(b []byte) []int64 {
 }
 
 // secElem is the element width of each section, for size validation.
-var secElem = [flatSections]uint64{1, leafRecBytes, modelRecBytes, 8, 4, 8, 8, 4, 8, 4}
+var secElem = [flatSections]uint64{1, leafRecBytes, modelRecBytes, 4, 8, 4, 4, 8, 4}
 
 // OpenFlat opens a flat profile over buf without copying the numeric
 // sections. Validation is structural — every offset, span and row
@@ -239,10 +238,9 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 		nLeaves:  int(nLeaves),
 		leafTab:  secs[secLeafTab],
 		modelTab: secs[secModels],
-		rowFrom:  sliceI64(secs[secRowFrom]),
 		rowOff:   sliceU32(secs[secRowOff]),
 		rowSum:   sliceU64(secs[secRowSum]),
-		edgeTo:   sliceI64(secs[secEdgeTo]),
+		edgeTo:   sliceU32(secs[secEdgeTo]),
 		edgeN:    sliceU32(secs[secEdgeN]),
 		valVal:   sliceI64(secs[secValVal]),
 		valN:     sliceU32(secs[secValN]),
@@ -253,7 +251,7 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 	if uint64(len(f.modelTab)) != uint64(nLeaves)*4*modelRecBytes {
 		return nil, flatErr("model table holds %d bytes for %d leaves", len(f.modelTab), nLeaves)
 	}
-	if len(f.edgeN) != len(f.edgeTo) || len(f.valN) != len(f.valVal) || len(f.rowSum) != len(f.rowFrom) {
+	if len(f.edgeN) != len(f.edgeTo) || len(f.valN) != len(f.valVal) || len(f.rowSum) != len(f.valVal) {
 		return nil, flatErr("parallel sections disagree on element counts")
 	}
 	if err := f.validateModels(); err != nil {
@@ -269,10 +267,12 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 	return f, nil
 }
 
-// validateModels bounds-checks every model record and its row table:
-// after it passes, any generator built over the views can only index
-// inside its own spans, so synthesis from a structurally valid file
-// never panics, whatever the numeric content.
+// validateModels bounds-checks every model record and its tables in
+// one pass over the edges: after it passes, any generator built over
+// the views can only index inside its own spans — every row offset
+// lies in the model's edge span, every edge targets one of the model's
+// values, and the initial value is one of them — so synthesis from a
+// structurally valid file never panics, whatever the numeric content.
 func (f *Flat) validateModels() error {
 	le := binary.LittleEndian
 	for mi := 0; mi < f.nLeaves*4; mi++ {
@@ -285,27 +285,35 @@ func (f *Flat) validateModels() error {
 		default:
 			return flatErr("model %d: bad kind %d", mi, kind)
 		}
-		nRows := uint64(le.Uint32(rec[4:]))
-		rowStart := uint64(le.Uint32(rec[8:]))
+		nVals := uint64(le.Uint32(rec[4:]))
+		valStart := uint64(le.Uint32(rec[8:]))
 		offStart := uint64(le.Uint32(rec[12:]))
 		edgeStart := uint64(le.Uint32(rec[16:]))
 		nEdges := uint64(le.Uint32(rec[20:]))
-		valStart := uint64(le.Uint32(rec[24:]))
-		nVals := uint64(le.Uint32(rec[28:]))
-		if rowStart+nRows > uint64(len(f.rowFrom)) ||
-			offStart+nRows+1 > uint64(len(f.rowOff)) ||
-			edgeStart+nEdges > uint64(len(f.edgeTo)) ||
-			valStart+nVals > uint64(len(f.valVal)) {
+		if valStart+nVals > uint64(len(f.valVal)) ||
+			offStart+nVals+1 > uint64(len(f.rowOff)) ||
+			edgeStart+nEdges > uint64(len(f.edgeTo)) {
 			return flatErr("model %d: spans outside sections", mi)
 		}
-		off := f.rowOff[offStart : offStart+nRows+1]
-		if off[0] != 0 || uint64(off[nRows]) != nEdges {
-			return flatErr("model %d: row offsets span [%d,%d), want [0,%d)", mi, off[0], off[nRows], nEdges)
+		off := f.rowOff[offStart : offStart+nVals+1]
+		if off[0] != 0 || uint64(off[nVals]) != nEdges {
+			return flatErr("model %d: row offsets span [%d,%d), want [0,%d)", mi, off[0], off[nVals], nEdges)
 		}
-		for r := uint64(0); r < nRows; r++ {
-			if off[r] > off[r+1] {
-				return flatErr("model %d: row offsets not monotone at %d", mi, r)
+		for k := uint64(0); k < nVals; k++ {
+			if off[k] > off[k+1] {
+				return flatErr("model %d: row offsets not monotone at %d", mi, k)
 			}
+		}
+		for j, t := range f.edgeTo[edgeStart : edgeStart+nEdges] {
+			if uint64(t) >= nVals {
+				return flatErr("model %d: edge %d targets value %d of %d", mi, j, t, nVals)
+			}
+		}
+		// The same search Model.InitialIndex runs when a generator
+		// binds to the model.
+		initial := int64(le.Uint64(rec[32:]))
+		if _, ok := slices.BinarySearch(f.valVal[valStart:valStart+nVals], initial); !ok {
+			return flatErr("model %d: initial value %d not among its values", mi, initial)
 		}
 	}
 	return nil
@@ -357,27 +365,24 @@ func (f *Flat) LeafView(i int, scratch *Leaf) *Leaf {
 func (f *Flat) model(mi int, m *markov.Model) {
 	le := binary.LittleEndian
 	rec := f.modelTab[mi*modelRecBytes : (mi+1)*modelRecBytes]
-	value := int64(le.Uint64(rec[32:]))
-	initial := int64(le.Uint64(rec[40:]))
+	value := int64(le.Uint64(rec[24:]))
+	initial := int64(le.Uint64(rec[32:]))
 	if le.Uint32(rec[0:]) == flatModelConstant {
 		*m = markov.Model{Constant: true, Value: value, Initial: initial}
 		return
 	}
-	nRows := le.Uint32(rec[4:])
-	rowStart := le.Uint32(rec[8:])
+	nVals := le.Uint32(rec[4:])
+	valStart := le.Uint32(rec[8:])
 	offStart := le.Uint32(rec[12:])
 	edgeStart := le.Uint32(rec[16:])
 	nEdges := le.Uint32(rec[20:])
-	valStart := le.Uint32(rec[24:])
-	nVals := le.Uint32(rec[28:])
 	*m = markov.Model{
 		Initial: initial,
-		From:    f.rowFrom[rowStart : rowStart+nRows : rowStart+nRows],
-		RowOff:  f.rowOff[offStart : offStart+nRows+1 : offStart+nRows+1],
+		Vals:    f.valVal[valStart : valStart+nVals : valStart+nVals],
+		RowOff:  f.rowOff[offStart : offStart+nVals+1 : offStart+nVals+1],
 		To:      f.edgeTo[edgeStart : edgeStart+nEdges : edgeStart+nEdges],
 		N:       f.edgeN[edgeStart : edgeStart+nEdges : edgeStart+nEdges],
-		RowSum:  f.rowSum[rowStart : rowStart+nRows : rowStart+nRows],
-		Vals:    f.valVal[valStart : valStart+nVals : valStart+nVals],
+		RowSum:  f.rowSum[valStart : valStart+nVals : valStart+nVals],
 		ValN:    f.valN[valStart : valStart+nVals : valStart+nVals],
 	}
 }
@@ -400,12 +405,11 @@ func (f *Flat) Profile() *Profile {
 }
 
 func cloneModel(m markov.Model) markov.Model {
-	m.From = append([]int64(nil), m.From...)
+	m.Vals = append([]int64(nil), m.Vals...)
 	m.RowOff = append([]uint32(nil), m.RowOff...)
-	m.To = append([]int64(nil), m.To...)
+	m.To = append([]uint32(nil), m.To...)
 	m.N = append([]uint32(nil), m.N...)
 	m.RowSum = append([]uint64(nil), m.RowSum...)
-	m.Vals = append([]int64(nil), m.Vals...)
 	m.ValN = append([]uint32(nil), m.ValN...)
 	return m
 }
@@ -424,7 +428,7 @@ func (f *Flat) Close() error {
 
 // flatCounts tallies the global table sizes of a profile.
 type flatCounts struct {
-	rows, edges, vals, offs int
+	edges, vals, offs int
 }
 
 func countFlat(p *Profile) (flatCounts, error) {
@@ -435,17 +439,16 @@ func countFlat(p *Profile) (flatCounts, error) {
 			if m.Constant {
 				continue
 			}
-			if len(m.RowOff) != len(m.From)+1 || len(m.N) != len(m.To) ||
-				len(m.RowSum) != len(m.From) || len(m.ValN) != len(m.Vals) || len(m.Vals) == 0 {
+			if len(m.RowOff) != len(m.Vals)+1 || len(m.N) != len(m.To) ||
+				len(m.RowSum) != len(m.Vals) || len(m.ValN) != len(m.Vals) || len(m.Vals) == 0 {
 				return c, fmt.Errorf("profile: leaf %d has an unfinished model (call Finish)", i)
 			}
-			c.rows += len(m.From)
-			c.offs += len(m.From) + 1
+			c.offs += len(m.Vals) + 1
 			c.edges += len(m.To)
 			c.vals += len(m.Vals)
 		}
 	}
-	if uint64(c.rows) > math.MaxUint32 || uint64(c.edges) > math.MaxUint32 ||
+	if uint64(c.edges) > math.MaxUint32 ||
 		uint64(c.vals) > math.MaxUint32 || uint64(c.offs) > math.MaxUint32 ||
 		uint64(len(p.Leaves)) > math.MaxUint32/4 {
 		return c, errors.New("profile: too large for flat encoding")
@@ -469,10 +472,9 @@ func MarshalFlat(p *Profile) ([]byte, error) {
 		secStrings: uint64(len(p.Name) + len(p.Config)),
 		secLeafTab: uint64(nLeaves) * leafRecBytes,
 		secModels:  uint64(nLeaves) * 4 * modelRecBytes,
-		secRowFrom: uint64(c.rows) * 8,
 		secRowOff:  uint64(c.offs) * 4,
-		secRowSum:  uint64(c.rows) * 8,
-		secEdgeTo:  uint64(c.edges) * 8,
+		secRowSum:  uint64(c.vals) * 8,
+		secEdgeTo:  uint64(c.edges) * 4,
 		secEdgeN:   uint64(c.edges) * 4,
 		secValVal:  uint64(c.vals) * 8,
 		secValN:    uint64(c.vals) * 4,
@@ -501,7 +503,6 @@ func MarshalFlat(p *Profile) ([]byte, error) {
 
 	leafTab := buf[offs[secLeafTab]:]
 	modelTab := buf[offs[secModels]:]
-	rowFrom := buf[offs[secRowFrom]:]
 	rowOff := buf[offs[secRowOff]:]
 	rowSum := buf[offs[secRowSum]:]
 	edgeTo := buf[offs[secEdgeTo]:]
@@ -509,43 +510,37 @@ func MarshalFlat(p *Profile) ([]byte, error) {
 	valVal := buf[offs[secValVal]:]
 	valN := buf[offs[secValN]:]
 
-	var rowAt, offAt, edgeAt, valAt uint32
+	var offAt, edgeAt, valAt uint32
 	mi := 0
 	putModel := func(m *markov.Model) {
 		rec := modelTab[mi*modelRecBytes:]
 		mi++
 		if m.Constant {
 			le.PutUint32(rec[0:], flatModelConstant)
-			le.PutUint64(rec[32:], uint64(m.Value))
-			le.PutUint64(rec[40:], uint64(m.Initial))
+			le.PutUint64(rec[24:], uint64(m.Value))
+			le.PutUint64(rec[32:], uint64(m.Initial))
 			return
 		}
 		le.PutUint32(rec[0:], flatModelMarkov)
-		le.PutUint32(rec[4:], uint32(len(m.From)))
-		le.PutUint32(rec[8:], rowAt)
+		le.PutUint32(rec[4:], uint32(len(m.Vals)))
+		le.PutUint32(rec[8:], valAt)
 		le.PutUint32(rec[12:], offAt)
 		le.PutUint32(rec[16:], edgeAt)
 		le.PutUint32(rec[20:], uint32(len(m.To)))
-		le.PutUint32(rec[24:], valAt)
-		le.PutUint32(rec[28:], uint32(len(m.Vals)))
-		le.PutUint64(rec[32:], 0)
-		le.PutUint64(rec[40:], uint64(m.Initial))
-		for r := range m.From {
-			le.PutUint64(rowFrom[(int(rowAt)+r)*8:], uint64(m.From[r]))
-			le.PutUint64(rowSum[(int(rowAt)+r)*8:], m.RowSum[r])
-		}
+		le.PutUint64(rec[24:], 0)
+		le.PutUint64(rec[32:], uint64(m.Initial))
 		for r, o := range m.RowOff {
 			le.PutUint32(rowOff[(int(offAt)+r)*4:], o)
 		}
 		for j := range m.To {
-			le.PutUint64(edgeTo[(int(edgeAt)+j)*8:], uint64(m.To[j]))
+			le.PutUint32(edgeTo[(int(edgeAt)+j)*4:], m.To[j])
 			le.PutUint32(edgeN[(int(edgeAt)+j)*4:], m.N[j])
 		}
-		for j := range m.Vals {
-			le.PutUint64(valVal[(int(valAt)+j)*8:], uint64(m.Vals[j]))
-			le.PutUint32(valN[(int(valAt)+j)*4:], m.ValN[j])
+		for k := range m.Vals {
+			le.PutUint64(valVal[(int(valAt)+k)*8:], uint64(m.Vals[k]))
+			le.PutUint32(valN[(int(valAt)+k)*4:], m.ValN[k])
+			le.PutUint64(rowSum[(int(valAt)+k)*8:], m.RowSum[k])
 		}
-		rowAt += uint32(len(m.From))
 		offAt += uint32(len(m.RowOff))
 		edgeAt += uint32(len(m.To))
 		valAt += uint32(len(m.Vals))

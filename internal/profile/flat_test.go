@@ -175,3 +175,65 @@ func fixupHeaderCRC(buf []byte) {
 	crc = crc32.Update(crc, flatCRC, buf[52:flatDataStart])
 	binary.LittleEndian.PutUint32(buf[48:], crc)
 }
+
+// mutateMarkov returns a copy of the flat buffer whose first Markov
+// model with edges is damaged by mutate, given the model record and the
+// buffer; section and header checksums are recomputed afterwards, so
+// only the structural pass can catch the damage.
+func mutateMarkov(orig []byte, mutate func(buf, rec []byte)) []byte {
+	buf := append([]byte(nil), orig...)
+	le := binary.LittleEndian
+	secOff := func(sec int) uint64 { return le.Uint64(buf[flatHeaderBytes+sec*flatSecEntry:]) }
+	secSize := func(sec int) uint64 { return le.Uint64(buf[flatHeaderBytes+sec*flatSecEntry+8:]) }
+	models := buf[secOff(secModels) : secOff(secModels)+secSize(secModels)]
+	for mi := 0; mi < len(models)/modelRecBytes; mi++ {
+		rec := models[mi*modelRecBytes : (mi+1)*modelRecBytes]
+		if le.Uint32(rec[0:]) == flatModelMarkov && le.Uint32(rec[20:]) > 0 {
+			mutate(buf, rec)
+			break
+		}
+	}
+	for sec := 0; sec < flatSections; sec++ {
+		e := buf[flatHeaderBytes+sec*flatSecEntry:]
+		le.PutUint32(e[16:], crc32.Checksum(buf[secOff(sec):secOff(sec)+secSize(sec)], flatCRC))
+	}
+	fixupHeaderCRC(buf)
+	return buf
+}
+
+// badTarget points the model's first edge one past its value count.
+func badTarget(buf, rec []byte) {
+	le := binary.LittleEndian
+	at := le.Uint64(buf[flatHeaderBytes+secEdgeTo*flatSecEntry:]) + 4*uint64(le.Uint32(rec[16:]))
+	le.PutUint32(buf[at:], le.Uint32(rec[4:]))
+}
+
+// badInitial sets the model's initial value to one below its smallest
+// value, so it is missing from the model's values.
+func badInitial(buf, rec []byte) {
+	le := binary.LittleEndian
+	at := le.Uint64(buf[flatHeaderBytes+secValVal*flatSecEntry:]) + 8*uint64(le.Uint32(rec[8:]))
+	le.PutUint64(rec[32:], le.Uint64(buf[at:])-1)
+}
+
+// TestFlatRejectsBadIndices pins the index checks of the structural
+// pass: an edge target outside the model's values, or an initial value
+// missing from them, is rejected with checksums intact and without
+// them, since a generator would index past its tables.
+func TestFlatRejectsBadIndices(t *testing.T) {
+	orig, err := MarshalFlat(flatTestProfile(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(buf, rec []byte){"target": badTarget, "initial": badInitial} {
+		buf := mutateMarkov(orig, mutate)
+		if bytes.Equal(buf, orig) {
+			t.Fatalf("%s: mutation changed nothing", name)
+		}
+		for _, opts := range [][]FlatOption{nil, {FlatNoVerify()}} {
+			if _, err := OpenFlat(buf, opts...); !errors.Is(err, ErrFlatFormat) {
+				t.Errorf("%s (%d options): OpenFlat error %v, want ErrFlatFormat", name, len(opts), err)
+			}
+		}
+	}
+}

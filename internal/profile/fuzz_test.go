@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/markov"
 	"repro/internal/partition"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -127,6 +128,7 @@ func FuzzFlatOpen(f *testing.F) {
 	mut := append([]byte(nil), buf...)
 	mut[len(mut)-2] ^= 0xff
 	f.Add(mut)
+	f.Add(mutateMarkov(buf, badTarget))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fp, err := OpenFlat(data)
 		if err != nil {
@@ -146,14 +148,22 @@ func FuzzFlatOpen(f *testing.F) {
 	})
 }
 
-// exerciseFlat touches every leaf view of an accepted buffer; with the
-// race/bounds checkers this proves structural validation made all spans
-// in-bounds.
+// exerciseFlat touches every leaf view of an accepted buffer and drives
+// a generator over each Markov model for twice its transitions (capped,
+// since hostile counts may be huge); with the race/bounds checkers this
+// proves structural validation made every span and index in-bounds, so
+// synthesis from any accepted buffer never panics.
 func exerciseFlat(fp *Flat) {
 	var scratch Leaf
 	for i := 0; i < fp.NumLeaves(); i++ {
 		l := fp.LeafView(i, &scratch)
 		_ = l.DeltaTime.States()
 		_ = l.Size.Transitions()
+		for _, m := range []*markov.Model{&l.DeltaTime, &l.Stride, &l.Op, &l.Size} {
+			g := markov.NewGenerator(m, stats.NewRNG(uint64(i)))
+			for n := min(2*m.Transitions()+1, 1<<12); n > 0; n-- {
+				g.Next()
+			}
+		}
 	}
 }

@@ -2,9 +2,12 @@ package profile
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
+	"repro/internal/markov"
 	"repro/internal/partition"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -205,5 +208,72 @@ func TestProfileSmallerThanTraceForRegularWorkload(t *testing.T) {
 	}
 	if pSize >= tb.Len() {
 		t.Errorf("profile (%d bytes) not smaller than trace (%d bytes)", pSize, tb.Len())
+	}
+}
+
+// rawProfile encodes a one-leaf varint profile whose delta-time model
+// carries rows exactly as given, so tests can feed Read tables that
+// Write never emits.
+func rawProfile(initial int64, rows []markov.Row) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, profileMagic)
+	b = binary.LittleEndian.AppendUint32(b, profileVersion)
+	b = binary.AppendUvarint(b, 3)
+	b = append(b, "raw"...)
+	b = binary.AppendUvarint(b, 0) // config
+	b = binary.AppendUvarint(b, 1) // leaves
+	for _, v := range []uint64{0, 0x1000, 0x1000, 0x2000, 4} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = append(b, modelMarkov)
+	b = binary.AppendVarint(b, initial)
+	b = binary.AppendUvarint(b, uint64(len(rows)))
+	for _, r := range rows {
+		b = binary.AppendVarint(b, r.From)
+		b = binary.AppendUvarint(b, uint64(len(r.Edges)))
+		for _, e := range r.Edges {
+			b = binary.AppendVarint(b, e.To)
+			b = binary.AppendUvarint(b, uint64(e.N))
+		}
+	}
+	for range 3 { // stride, op, size
+		b = append(b, modelConstant)
+		b = binary.AppendVarint(b, 0)
+	}
+	return b
+}
+
+// TestReadRejectsNonCanonicalRows pins that the decoder accepts only
+// the row order Write emits: sources strictly ascending, each row's
+// targets strictly ascending, no empty row. The dense transition table
+// has no representation for anything else.
+func TestReadRejectsNonCanonicalRows(t *testing.T) {
+	e := func(to int64) markov.Edge { return markov.Edge{To: to, N: 1} }
+	canonical := rawProfile(1, []markov.Row{{From: 1, Edges: []markov.Edge{e(2)}}, {From: 2, Edges: []markov.Edge{e(1), e(3)}}})
+	p, err := Read(bytes.NewReader(canonical))
+	if err != nil {
+		t.Fatalf("canonical rows rejected: %v", err)
+	}
+	var again bytes.Buffer
+	if err := Write(&again, p); err != nil || !bytes.Equal(again.Bytes(), canonical) {
+		t.Fatalf("canonical rows do not re-encode to the same bytes (err %v)", err)
+	}
+	for name, rows := range map[string][]markov.Row{
+		"sources out of order": {{From: 2, Edges: []markov.Edge{e(1)}}, {From: 1, Edges: []markov.Edge{e(2)}}},
+		"source repeated":      {{From: 1, Edges: []markov.Edge{e(2)}}, {From: 1, Edges: []markov.Edge{e(3)}}},
+		"targets out of order": {{From: 1, Edges: []markov.Edge{e(3), e(2)}}},
+		"target repeated":      {{From: 1, Edges: []markov.Edge{e(2), e(2)}}},
+		"empty row":            {{From: 1, Edges: []markov.Edge{e(2)}}, {From: 2}},
+	} {
+		raw := rawProfile(1, rows)
+		if _, err := Read(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: Read accepted", name)
+		}
+		var gz bytes.Buffer
+		zw := gzip.NewWriter(&gz)
+		zw.Write(raw)
+		zw.Close()
+		if _, err := ReadGzip(&gz); err == nil {
+			t.Errorf("%s: ReadGzip accepted", name)
+		}
 	}
 }

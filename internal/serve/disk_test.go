@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -353,4 +356,51 @@ func TestDiskTierSubstitutedFileDropped(t *testing.T) {
 	}
 	pin.Release()
 	checkAddresses(t, s3)
+}
+
+// A version-1 flat file left in the disk directory by an older build
+// cannot be opened by this one. Its first open drops and unlinks it and
+// counts an mmap failure; its ID then misses with 404 on every endpoint,
+// never a 500.
+func TestDiskTierDropsVersion1File(t *testing.T) {
+	dir := t.TempDir()
+	buf, err := profile.MarshalFlat(testProfile(t, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The opener checks the version field right after the magic, so a
+	// current buffer relabelled version 1 stands in for an old file.
+	binary.LittleEndian.PutUint32(buf[4:], 1)
+	id := flatID(buf)
+	path := filepath.Join(dir, id+flatExt)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{DiskDir: dir})
+	before := mDiskMmapFail.Value()
+	for _, c := range []struct{ method, path string }{
+		{"GET", "/v1/profiles/" + id},
+		{"GET", "/v1/profiles/" + id + "?download=1"},
+		{"POST", "/v1/profiles/" + id + "/synth?seed=1"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", c.method, c.path, resp.StatusCode)
+		}
+	}
+	if got := mDiskMmapFail.Value() - before; got != 1 {
+		t.Fatalf("mmap_failures rose by %d, want 1", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("version-1 file not unlinked: %v", err)
+	}
 }

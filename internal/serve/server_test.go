@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -845,5 +847,49 @@ func TestSynthColdHitByteIdentical(t *testing.T) {
 	}
 	if want := offlineBin(t, p, 5, 0); !bytes.Equal(cold, want) {
 		t.Fatal("cold stream differs from offline synthesis")
+	}
+}
+
+// A gz profile whose rows are out of the canonical order has no dense
+// transition table: the decoder rejects it and the upload answers 400
+// without storing anything.
+func TestUploadNonCanonicalProfileRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// One leaf: a delta-time chain listing its rows 2 then 1, and three
+	// constant models, in the varint layout profile.Write emits.
+	raw := binary.LittleEndian.AppendUint32(nil, 0x4d50524f) // "MPRO"
+	raw = binary.LittleEndian.AppendUint32(raw, 1)
+	raw = append(raw, 1, 'x', 0, 1)
+	for _, v := range []uint64{0, 0x1000, 0x1000, 0x2000, 3} {
+		raw = binary.AppendUvarint(raw, v)
+	}
+	raw = append(raw, 1)
+	raw = binary.AppendVarint(raw, 1) // initial
+	raw = binary.AppendUvarint(raw, 2)
+	for _, row := range [][2]int64{{2, 1}, {1, 2}} { // {from, to}, count 1
+		raw = binary.AppendVarint(raw, row[0])
+		raw = binary.AppendUvarint(raw, 1)
+		raw = binary.AppendVarint(raw, row[1])
+		raw = binary.AppendUvarint(raw, 1)
+	}
+	for range 3 {
+		raw = append(raw, 0)
+		raw = binary.AppendVarint(raw, 0)
+	}
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	zw.Write(raw)
+	zw.Close()
+	resp, err := http.Post(ts.URL+"/v1/profiles", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("source 1 not above 2")) {
+		t.Fatalf("status %d (%s), want 400 for the row order", resp.StatusCode, msg)
+	}
+	if n := s.store.Len(); n != 0 {
+		t.Fatalf("store holds %d profiles after a rejected upload", n)
 	}
 }

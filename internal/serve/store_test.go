@@ -124,7 +124,7 @@ func TestStorePutCopiesProfile(t *testing.T) {
 	mutated := false
 	for i := range p.Leaves {
 		if m := &p.Leaves[i].Stride; !m.Constant {
-			m.To[0] += 4096
+			m.Vals[len(m.Vals)-1] += 4096 // the largest value stays largest
 			mutated = true
 			break
 		}
