@@ -526,7 +526,11 @@ func ingestMaterialized(path string, cfg core.Config) (*profile.Profile, error) 
 		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.ReadGzip(f)
+	d, err := trace.NewDecoder(f)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := d.ReadAll()
 	if err != nil {
 		return nil, err
 	}

@@ -92,15 +92,7 @@ func TestCLICompose(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("compose: exit %d: %s", code, out)
 	}
-	f, err := os.Open(binOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := trace.ReadBinary(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mixed := readTraceFile(t, binOut)
 	if len(mixed) != 800 { // two devices x 400 requests
 		t.Fatalf("composed %d requests, want 800", len(mixed))
 	}

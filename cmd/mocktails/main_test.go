@@ -3,7 +3,6 @@ package main
 import (
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -174,34 +173,20 @@ func TestCLISynthFormats(t *testing.T) {
 			t.Fatalf("%v: exit %d, output:\n%s", c, code, out)
 		}
 	}
-	want := readAs(t, gz, trace.ReadGzip)
-	if got := readAs(t, bin, trace.ReadBinary); !slices.Equal(got, want) {
+	want := readTraceFile(t, gz)
+	if got := readTraceFile(t, bin); !slices.Equal(got, want) {
 		t.Fatal("-format bin decodes to different requests than gzip output")
 	}
-	if got := readAs(t, csv, trace.ReadCSV); !slices.Equal(got, want) {
+	if got := readTraceFile(t, csv); !slices.Equal(got, want) {
 		t.Fatal("-format csv decodes to different requests than gzip output")
 	}
 
 	if out, code := runSelf(t, "synth", "-in", prof, "-seed", "7", "-n", "100", "-format", "bin", "-out", bin); code != 0 || !strings.Contains(out, "synthesised 100 requests") {
 		t.Fatalf("synth -n: exit %d, output:\n%s", code, out)
 	}
-	if got := readAs(t, bin, trace.ReadBinary); !slices.Equal(got, want[:100]) {
+	if got := readTraceFile(t, bin); !slices.Equal(got, want[:100]) {
 		t.Fatal("-n 100 is not the prefix of the full stream")
 	}
-}
-
-func readAs(t *testing.T, path string, read func(r io.Reader) (trace.Trace, error)) trace.Trace {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr, err := read(f)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	return tr
 }
 
 func TestCLICheckFailsOnBadTrace(t *testing.T) {
@@ -268,14 +253,8 @@ func TestCLIFlatFormat(t *testing.T) {
 	if out, code := runSelf(t, "convert", "-in", convFlat, "-out", convGz, "-to", "gz"); code != 0 {
 		t.Fatalf("convert to gz: exit %d, output:\n%s", code, out)
 	}
-	pf, err := os.Open(convGz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := profile.ReadGzip(pf)
-	pf.Close()
-	if err != nil || p2.Name != "tiny" {
-		t.Fatalf("round-tripped gz profile: %v (name %q)", err, p2.Name)
+	if !fileEqual(t, convGz, gzProf) {
+		t.Fatal("flat -> gz conversion differs from the gz profile written directly")
 	}
 
 	// inspect decodes a gz profile directly and copies a flat one out
@@ -302,7 +281,7 @@ func TestCLIFlatFormat(t *testing.T) {
 	if out, code := runSelf(t, "synth", "-in", flatProf, "-seed", "7", "-out", synFlat); code != 0 {
 		t.Fatalf("synth flat: exit %d, output:\n%s", code, out)
 	}
-	if !slices.Equal(readAs(t, synGz, trace.ReadGzip), readAs(t, synFlat, trace.ReadGzip)) {
+	if !slices.Equal(readTraceFile(t, synGz), readTraceFile(t, synFlat)) {
 		t.Fatal("synth from flat differs from synth from gz")
 	}
 

@@ -70,15 +70,7 @@ func TestCLIProfileFromStdin(t *testing.T) {
 func TestCLIProfileSniffsFormats(t *testing.T) {
 	dir := t.TempDir()
 	in := tinyTrace(t, dir)
-	f, err := os.Open(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.ReadGzip(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := readTraceFile(t, in)
 
 	binPath := filepath.Join(dir, "tiny.trace.bin")
 	bf, err := os.Create(binPath)

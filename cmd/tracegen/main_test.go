@@ -69,7 +69,11 @@ func TestGenerateSpecFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := trace.ReadGzip(f)
+	d, err := trace.NewDecoder(f)
+	if err != nil {
+		t.Fatalf("reading generated trace: %v", err)
+	}
+	tr, err := d.ReadAll()
 	if err != nil {
 		t.Fatalf("reading generated trace: %v", err)
 	}

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	// 1. Industry side: a trace of the device. (A real user would load
-	// their own trace with trace.ReadGzip.)
+	// their own trace with trace.NewDecoder and ReadAll.)
 	spec, err := workloads.Find("HEVC1")
 	if err != nil {
 		obs.Fatal(err)

@@ -1,6 +1,6 @@
 // Package par provides the repository's parallelism primitives: a bounded
-// worker pool with ordered results (Map, ForEach) and a buffered byte pipe
-// (NewPipe) for overlapping I/O with encoding and decoding.
+// worker pool with ordered results (Map, ForEach) and its streaming
+// counterpart (Pool).
 //
 // Determinism is the design constraint. Map commits results by index, so a
 // caller that fans deterministic per-item work across workers gets output

@@ -1,10 +1,7 @@
 package par
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"testing"
 )
@@ -71,73 +68,6 @@ func TestWorkersNormalise(t *testing.T) {
 	t.Setenv(EnvVar, "bogus")
 	if got := Default(); got < 1 {
 		t.Fatalf("Default() with bogus env = %d", got)
-	}
-}
-
-func TestPipeRoundTrip(t *testing.T) {
-	for _, size := range []int{0, 1, 100, 1 << 10, 1 << 18, 1<<20 + 17} {
-		payload := make([]byte, size)
-		for i := range payload {
-			payload[i] = byte(i * 31)
-		}
-		pr, pw := NewPipe(4096, 2)
-		go func() {
-			// Write in awkwardly sized slices to exercise chunking.
-			b := payload
-			for len(b) > 0 {
-				n := 1000
-				if n > len(b) {
-					n = len(b)
-				}
-				if _, err := pw.Write(b[:n]); err != nil {
-					pw.CloseWithError(err)
-					return
-				}
-				b = b[n:]
-			}
-			pw.Close()
-		}()
-		got, err := io.ReadAll(pr)
-		if err != nil {
-			t.Fatalf("size %d: read: %v", size, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("size %d: payload corrupted in transit", size)
-		}
-	}
-}
-
-func TestPipeWriterErrorReachesReader(t *testing.T) {
-	pr, pw := NewPipe(16, 1)
-	want := errors.New("producer failed")
-	go func() {
-		pw.Write([]byte("partial"))
-		pw.CloseWithError(want)
-	}()
-	got, err := io.ReadAll(pr)
-	if !errors.Is(err, want) {
-		t.Fatalf("read error = %v, want %v", err, want)
-	}
-	if string(got) != "partial" {
-		t.Fatalf("read %q before error, want %q", got, "partial")
-	}
-}
-
-func TestPipeReaderCloseUnblocksWriter(t *testing.T) {
-	pr, pw := NewPipe(8, 1)
-	errc := make(chan error, 1)
-	go func() {
-		// Enough writes to fill the chunk buffer and the channel, so the
-		// producer must block until the reader goes away.
-		var err error
-		for i := 0; i < 100 && err == nil; i++ {
-			_, err = pw.Write(bytes.Repeat([]byte{byte(i)}, 8))
-		}
-		errc <- err
-	}()
-	pr.Close()
-	if err := <-errc; !errors.Is(err, ErrClosedPipe) {
-		t.Fatalf("writer error = %v, want ErrClosedPipe", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"repro/internal/markov"
-	"repro/internal/par"
 )
 
 // The profile format uses varint-encoded records wrapped in gzip. The
@@ -28,7 +27,7 @@ const (
 
 // Write serialises the profile (uncompressed varint records). Records
 // stream through a bufio.Writer rather than accumulating in one large
-// buffer, so WriteGzip can overlap encoding with compression.
+// buffer.
 func Write(w io.Writer, p *Profile) error {
 	bw := bufio.NewWriter(w)
 	var tmp [binary.MaxVarintLen64]byte
@@ -100,7 +99,8 @@ func capHint(n uint64) uint64 {
 	return n
 }
 
-// Read deserialises a profile written by Write.
+// Read deserialises a profile written by Write. A *bufio.Reader passed
+// as r is read directly, so the bytes after the profile stay in it.
 func Read(r io.Reader) (*Profile, error) {
 	br := bufio.NewReader(r)
 	var hdr [8]byte
@@ -245,43 +245,36 @@ func Read(r io.Reader) (*Profile, error) {
 }
 
 // WriteGzip writes the profile through gzip; this is the on-disk format.
-// Encoding runs on a producer goroutine feeding a buffered pipe while the
-// caller compresses, mirroring trace.WriteGzip; gzip output depends only
-// on the byte stream, so the bytes match an unpipelined write.
 func WriteGzip(w io.Writer, p *Profile) error {
 	zw := gzip.NewWriter(w)
-	pr, pw := par.NewPipe(0, 0)
-	go func() {
-		pw.CloseWithError(Write(pw, p))
-	}()
-	if _, err := io.Copy(zw, pr); err != nil {
-		pr.Close()
+	if err := Write(zw, p); err != nil {
 		zw.Close()
 		return err
 	}
 	return zw.Close()
 }
 
-// ReadGzip reads a profile written by WriteGzip. Decompression overlaps
-// varint parsing via a buffered pipe.
+// ReadGzip reads a profile written by WriteGzip. The decompressed stream
+// must end right after the last leaf: a gzip reader compares its CRC-32
+// and length trailer only when a read reaches EOF, so this is the check
+// that rejects a corrupted body that still inflates to a valid profile.
+// Read parses through br itself, so no byte can hide in a second buffer.
 func ReadGzip(r io.Reader) (*Profile, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	pr, pw := par.NewPipe(0, 0)
-	go func() {
-		_, cerr := io.Copy(pw, zr)
-		if cerr == nil {
-			cerr = zr.Close()
-		} else {
-			zr.Close()
-		}
-		pw.CloseWithError(cerr)
-	}()
-	p, err := Read(pr)
-	pr.Close()
-	return p, err
+	br := bufio.NewReader(zr)
+	p, err := Read(br)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, errors.New("profile: trailing data after the last leaf")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("profile: after the last leaf: %w", err)
+	}
+	return p, nil
 }
 
 // EncodedSize returns the gzip-compressed size of the profile in bytes,

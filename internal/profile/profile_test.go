@@ -277,3 +277,63 @@ func TestReadRejectsNonCanonicalRows(t *testing.T) {
 		}
 	}
 }
+
+// TestGzipBitFlipsDetected sweeps single-bit flips over the deflate body
+// of a gzip profile. A flip must either fail ReadGzip or leave the
+// profile exactly the original: the CRC-32 in the gzip trailer has to be
+// checked even though the leaf count already says where the profile ends.
+func TestGzipBitFlipsDetected(t *testing.T) {
+	p, err := Build("flips", sampleTrace(), partition.TwoLevelTS(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteGzip(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	gz := buf.Bytes()
+	const header, trailer = 10, 8
+	for i := header; i < len(gz)-trailer; i += 7 {
+		bad := bytes.Clone(gz)
+		bad[i] ^= 1 << (i % 8)
+		got, err := ReadGzip(bytes.NewReader(bad))
+		if err == nil && !reflect.DeepEqual(got, p) {
+			t.Fatalf("flip at byte %d of %d read without error as a different profile", i, len(gz))
+		}
+	}
+}
+
+// TestGzipTrailerChecked: a corrupted CRC-32 or length in the gzip
+// trailer, and decompressed bytes past the last leaf, are read errors.
+func TestGzipTrailerChecked(t *testing.T) {
+	p, err := Build("trailer", sampleTrace(), partition.TwoLevelTS(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteGzip(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	gz := buf.Bytes()
+	for _, off := range []int{8, 4} { // first CRC byte, first ISIZE byte
+		bad := bytes.Clone(gz)
+		bad[len(bad)-off] ^= 0x01
+		if _, err := ReadGzip(bytes.NewReader(bad)); err == nil {
+			t.Errorf("trailer byte %d from the end flipped, ReadGzip accepted it", off)
+		}
+	}
+
+	var raw, extra bytes.Buffer
+	if err := Write(&raw, p); err != nil {
+		t.Fatal(err)
+	}
+	zw := gzip.NewWriter(&extra)
+	zw.Write(raw.Bytes())
+	zw.Write([]byte("surplus"))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadGzip(&extra); err == nil {
+		t.Error("decompressed bytes after the last leaf accepted")
+	}
+}

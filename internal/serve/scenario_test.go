@@ -116,14 +116,8 @@ func TestScenarioStreamMatchesOfflineCompose(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != "text/csv" {
 		t.Errorf("csv Content-Type %q", ct)
 	}
-	fromCSV, err := trace.ReadCSV(bytes.NewReader(csvBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := trace.ReadBinary(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromCSV := decodeTrace(t, csvBody, "csv")
+	fromBin := decodeTrace(t, want, "bin")
 	if len(fromCSV) != len(fromBin) {
 		t.Fatalf("csv carried %d requests, bin %d", len(fromCSV), len(fromBin))
 	}
@@ -333,4 +327,22 @@ func TestScenarioPeerRequestSeesLocalOnly(t *testing.T) {
 	if !sawMiss {
 		t.Fatal("no node missed the profile; the cluster helper changed its replication shape")
 	}
+}
+
+// decodeTrace decodes an encoded trace through the sniffing decoder and
+// checks the format it sniffed.
+func decodeTrace(t *testing.T, data []byte, format string) trace.Trace {
+	t.Helper()
+	d, err := trace.NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Format() != format {
+		t.Fatalf("sniffed %s, want %s", d.Format(), format)
+	}
+	tr, err := d.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

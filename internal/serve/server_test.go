@@ -192,6 +192,47 @@ func TestUploadTraceFitsAndDedupes(t *testing.T) {
 	}
 }
 
+// A gzip upload with one flipped bit after the 10-byte gzip header
+// answers 400, unless the flip leaves the decompressed bytes as they
+// were, in which case it fits to the clean profile. A corrupted body
+// never yields the ID of some other profile: the gzip trailer's
+// checksum is verified even though the record and leaf counts say
+// where the content ends.
+func TestUploadCorruptGzipRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	p := testProfile(t, 7)
+	wantID, _, err := ProfileID(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind, query string
+		gz          []byte
+	}{
+		{"trace", "?kind=trace&name=w7", gzTraceBody(t, testTrace(7, 300)).Bytes()},
+		{"profile", "", gzProfileBody(t, p).Bytes()},
+	} {
+		for i := 10; i < len(c.gz); i += len(c.gz) / 16 {
+			bad := bytes.Clone(c.gz)
+			bad[i] ^= 1 << (i % 8)
+			resp, err := http.Post(ts.URL+"/v1/profiles"+c.query, "application/gzip", bytes.NewReader(bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ur uploadResponse
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusBadRequest {
+				continue
+			}
+			if err := json.Unmarshal(body, &ur); err != nil || ur.ID != wantID {
+				t.Errorf("%s with bit flipped at byte %d of %d: status %d, id %s, want 400 or the clean id %s",
+					c.kind, i, len(c.gz), resp.StatusCode, ur.ID, wantID)
+			}
+		}
+	}
+}
+
 // The upload decoder sniffs by magic: the same trace delivered raw
 // binary, as CSV, and as gzip content-addresses to one profile.
 func TestUploadTraceSniffsFormats(t *testing.T) {

@@ -1,13 +1,40 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// decode reads a trace through the sniffing decoder.
+func decode(r io.Reader) (Trace, error) {
+	d, err := NewDecoder(r)
+	if err != nil {
+		return nil, err
+	}
+	return d.ReadAll()
+}
+
+// decodeBinary reads r as the binary format without sniffing, so empty
+// input is a header error rather than an empty CSV trace.
+func decodeBinary(r io.Reader) (Trace, error) {
+	d, err := newBinaryDecoder(bufio.NewReader(r), false)
+	if err != nil {
+		return nil, err
+	}
+	return d.ReadAll()
+}
+
+// decodeCSV reads r as CSV without sniffing.
+func decodeCSV(r io.Reader) (Trace, error) {
+	return newCSVDecoder(bufio.NewReader(r)).ReadAll()
+}
 
 func randomTrace(rng *rand.Rand, n int) Trace {
 	t := make(Trace, n)
@@ -34,7 +61,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if _, err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +75,7 @@ func TestBinaryRoundTripEmpty(t *testing.T) {
 	if _, err := WriteBinary(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +90,7 @@ func TestGzipRoundTrip(t *testing.T) {
 	if err := WriteGzip(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGzip(&buf)
+	got, err := decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +123,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if _, err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +133,20 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVAcceptsLowercaseOps(t *testing.T) {
-	got, err := ReadCSV(strings.NewReader("1,r,10,4\n2,w,20,8\n"))
+	got, err := decode(strings.NewReader("1,r,10,4\n2,w,20,8\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Op != Read || got[1].Op != Write {
 		t.Errorf("ops = %v %v", got[0].Op, got[1].Op)
+	}
+	// Header lines and blank lines are skipped wherever they appear.
+	got2, err := decode(strings.NewReader("time,op,addr,size\n\n1,r,10,4\n\ntime,op,addr,size\n2,w,20,8\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got2, got) {
+		t.Errorf("header and blank lines changed the trace: %v vs %v", got2, got)
 	}
 }
 
@@ -124,17 +159,19 @@ func TestCSVRejectsBadInput(t *testing.T) {
 		"1,R,10,notasize", // bad size
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadCSV(%q) succeeded, want error", c)
+		if _, err := decode(strings.NewReader(c)); err == nil {
+			t.Errorf("decoding %q succeeded, want error", c)
 		}
 	}
 }
 
+// The binary-format rejection cases run on the binary decoder itself:
+// to the sniffing decoder, input without the magic is CSV.
 func TestReadBinaryRejectsCorruptHeader(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("notamagicheader!"))); err == nil {
+	if _, err := decodeBinary(bytes.NewReader([]byte("notamagicheader!"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := decodeBinary(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -146,7 +183,7 @@ func TestReadBinaryRejectsTruncatedBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(b[:len(b)-5])); err == nil {
+	if _, err := decode(bytes.NewReader(b[:len(b)-5])); err == nil {
 		t.Error("truncated trace accepted")
 	}
 }
@@ -159,7 +196,7 @@ func TestReadBinaryRejectsBadOp(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[len(b)-1] = 7 // corrupt the op byte
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
+	if _, err := decode(bytes.NewReader(b)); err == nil {
 		t.Error("bad op accepted")
 	}
 }
@@ -179,7 +216,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if _, err := WriteBinary(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := decode(&buf)
 		if err != nil {
 			return false
 		}
@@ -190,10 +227,9 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestGzipDeterministicBytes guards the pipelined WriteGzip: the encoded
-// stream must not depend on chunk boundaries or scheduling, so repeated
-// writes of the same trace produce identical bytes, including a large
-// trace that crosses many pipe chunks.
+// TestGzipDeterministicBytes: repeated writes of the same trace produce
+// identical bytes, including a large trace that crosses many buffer
+// flushes, and the large stream round-trips.
 func TestGzipDeterministicBytes(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(9)), 200000)
 	var a, b bytes.Buffer
@@ -204,19 +240,19 @@ func TestGzipDeterministicBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("pipelined WriteGzip is not byte-deterministic")
+		t.Fatal("WriteGzip is not byte-deterministic")
 	}
-	got, err := ReadGzip(&a)
+	got, err := decode(&a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("large pipelined round trip corrupted the trace")
+		t.Fatal("large gzip round trip corrupted the trace")
 	}
 }
 
 // TestGzipReadPropagatesCorruption: a truncated gzip stream must surface
-// an error through the pipelined reader, not hang or return short data.
+// an error through the decoder, not hang or return short data.
 func TestGzipReadPropagatesCorruption(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(3)), 5000)
 	var buf bytes.Buffer
@@ -224,7 +260,71 @@ func TestGzipReadPropagatesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadGzip(bytes.NewReader(cut)); err == nil {
+	if _, err := decode(bytes.NewReader(cut)); err == nil {
 		t.Fatal("truncated gzip stream read without error")
+	}
+}
+
+// TestGzipBitFlipsDetected sweeps single-bit flips over the deflate body
+// of a gzip trace (every 97th byte). A flip must either fail the decode
+// or leave the decoded trace exactly the original: the CRC-32 in the
+// gzip trailer has to be checked even though the record count in the
+// header already says where the records end.
+func TestGzipBitFlipsDetected(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(5)), 5000)
+	var buf bytes.Buffer
+	if err := WriteGzip(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	gz := buf.Bytes()
+	const header, trailer = 10, 8
+	flips, rejected := 0, 0
+	for i := header; i < len(gz)-trailer; i += 97 {
+		bad := bytes.Clone(gz)
+		bad[i] ^= 1 << (i % 8)
+		flips++
+		got, err := decode(bytes.NewReader(bad))
+		if err != nil {
+			rejected++
+			continue
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatalf("flip at byte %d decoded without error to a different trace", i)
+		}
+	}
+	t.Logf("%d of %d flips rejected, the rest decoded to the original", rejected, flips)
+}
+
+// TestGzipTrailerChecked: a corrupted CRC-32 or length in the gzip
+// trailer, and decompressed bytes past the last announced record, are
+// decode errors.
+func TestGzipTrailerChecked(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(6)), 100)
+	var buf bytes.Buffer
+	if err := WriteGzip(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	gz := buf.Bytes()
+	for _, off := range []int{8, 4} { // first CRC byte, first ISIZE byte
+		bad := bytes.Clone(gz)
+		bad[len(bad)-off] ^= 0x01
+		if _, err := decode(bytes.NewReader(bad)); err == nil {
+			t.Errorf("trailer byte %d from the end flipped, decode accepted it", off)
+		}
+	}
+
+	// A valid gzip stream whose records are followed by surplus bytes.
+	var bin, extra bytes.Buffer
+	if _, err := WriteBinary(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	zw := gzip.NewWriter(&extra)
+	zw.Write(bin.Bytes())
+	zw.Write([]byte("surplus"))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(bytes.NewReader(extra.Bytes())); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("surplus decompressed bytes: err = %v, want trailing-data error", err)
 	}
 }

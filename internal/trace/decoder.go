@@ -15,9 +15,9 @@ import (
 // encoders in stream.go: it pulls one record at a time out of any of the
 // repository's trace encodings, so a multi-gigabyte capture can flow
 // through partitioning and fitting without ever being materialised as a
-// []Request. ReadBinary and ReadCSV are thin collect loops over it, so
-// the incremental and materialised paths can never disagree about the
-// formats.
+// []Request. ReadAll is the one materialising path, a collect loop over
+// the same decoder, so the incremental and materialised paths can never
+// disagree about the formats.
 
 // RequestMemBytes is the in-memory footprint of one Request (the struct
 // size including alignment padding). It is the unit in which streaming
@@ -65,14 +65,14 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: opening gzip stream: %w", err)
 		}
-		d, err := newBinaryDecoder(bufio.NewReaderSize(zr, streamBufSize))
+		d, err := newBinaryDecoder(bufio.NewReaderSize(zr, streamBufSize), true)
 		if err != nil {
 			return nil, err
 		}
 		d.format = "gz"
 		return d, nil
 	case len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix) == traceMagic:
-		return newBinaryDecoder(br)
+		return newBinaryDecoder(br, false)
 	default:
 		return newCSVDecoder(br), nil
 	}
@@ -118,8 +118,11 @@ func (d *Decoder) ReadAll() (Trace, error) {
 }
 
 // newBinaryDecoder validates the binary header and returns a decoder
-// over its records.
-func newBinaryDecoder(br *bufio.Reader) (*Decoder, error) {
+// over its records. With toEOF set, the stream must end right after the
+// announced records. A gzip reader compares its CRC-32 and length
+// trailer only when a read reaches EOF, so this is the check that
+// rejects a corrupted gzip body that still inflates to valid records.
+func newBinaryDecoder(br *bufio.Reader, toEOF bool) (*Decoder, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
@@ -133,10 +136,21 @@ func newBinaryDecoder(br *bufio.Reader) (*Decoder, error) {
 	n := binary.LittleEndian.Uint64(hdr[8:])
 	d := &Decoder{format: "bin", announced: n}
 	i := uint64(0)
+	var end error // what every call past the last record returns
 	var rec [recordSize]byte
 	d.next = func(req *Request) error {
 		if i >= n {
-			return io.EOF
+			if end == nil {
+				end = io.EOF
+				if toEOF {
+					if _, err := br.ReadByte(); err == nil {
+						end = fmt.Errorf("trace: trailing data after record %d", n)
+					} else if err != io.EOF {
+						end = fmt.Errorf("trace: after record %d: %w", n, err)
+					}
+				}
+			}
+			return end
 		}
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return fmt.Errorf("trace: reading record %d: %w", i, err)
@@ -156,8 +170,7 @@ func newBinaryDecoder(br *bufio.Reader) (*Decoder, error) {
 }
 
 // newCSVDecoder returns a decoder over WriteCSV-format lines. Blank
-// lines are ignored and a header line is skipped wherever it appears,
-// matching ReadCSV.
+// lines are ignored and a header line is skipped wherever it appears.
 func newCSVDecoder(br *bufio.Reader) *Decoder {
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -39,7 +39,7 @@ func TestRequestMemBytes(t *testing.T) {
 }
 
 // TestDecoderFormats decodes each encoding incrementally and checks the
-// result matches the materialised readers, the sniffed format name, and
+// result against the original trace, the sniffed format name, and
 // the Records counter — including through a one-byte-at-a-time reader
 // to exercise every short-read path.
 func TestDecoderFormats(t *testing.T) {
@@ -168,44 +168,6 @@ func TestDecoderErrors(t *testing.T) {
 			t.Fatal("want gzip open error, got nil")
 		}
 	})
-}
-
-// TestDecoderMatchesMaterializedReaders: decoding through the Decoder
-// and through ReadBinary/ReadCSV/ReadGzip must agree on every input,
-// including ones with a skipped header line and blank lines.
-func TestDecoderMatchesMaterializedReaders(t *testing.T) {
-	want := decoderTrace()[:37]
-	var bin, gz bytes.Buffer
-	if _, err := WriteBinary(&bin, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteGzip(&gz, want); err != nil {
-		t.Fatal(err)
-	}
-	csv := "time,op,addr,size\n\n1,R,1000,64\n\n2,w,1040,128\n"
-
-	check := func(name string, data []byte, materialized func() (Trace, error)) {
-		t.Run(name, func(t *testing.T) {
-			d, err := NewDecoder(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := d.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mat, err := materialized()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(streamed) != len(mat) || (len(mat) > 0 && !reflect.DeepEqual(streamed, mat)) {
-				t.Fatalf("decoder and materialized reader disagree: %d vs %d requests", len(streamed), len(mat))
-			}
-		})
-	}
-	check("bin", bin.Bytes(), func() (Trace, error) { return ReadBinary(bytes.NewReader(bin.Bytes())) })
-	check("gz", gz.Bytes(), func() (Trace, error) { return ReadGzip(bytes.NewReader(gz.Bytes())) })
-	check("csv", []byte(csv), func() (Trace, error) { return ReadCSV(strings.NewReader(csv)) })
 }
 
 // TestSliceReader: the adapter yields exactly the slice, then io.EOF

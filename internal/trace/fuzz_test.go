@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -22,7 +25,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(buf.Bytes()[:17]) // header + truncated record
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
+		tr, err := decodeBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -30,7 +33,7 @@ func FuzzReadBinary(f *testing.F) {
 		if _, err := WriteBinary(&out, tr); err != nil {
 			t.Fatalf("re-encoding accepted trace: %v", err)
 		}
-		tr2, err := ReadBinary(&out)
+		tr2, err := decodeBinary(&out)
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded trace: %v", err)
 		}
@@ -48,7 +51,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("1,R,zz,64\n")
 	f.Add("999999999999999999999999,R,0,64\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadCSV(bytes.NewReader([]byte(data)))
+		tr, err := decodeCSV(strings.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -56,7 +59,7 @@ func FuzzReadCSV(f *testing.F) {
 		if _, err := WriteCSV(&out, tr); err != nil {
 			t.Fatalf("re-encoding accepted trace: %v", err)
 		}
-		tr2, err := ReadCSV(&out)
+		tr2, err := decodeCSV(&out)
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded trace: %v", err)
 		}
@@ -69,11 +72,10 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzStreamDecode feeds arbitrary bytes to the sniffing incremental
-// decoder and cross-checks it against the materialised reader for
-// whatever format it sniffed: both must agree on accept/reject and on
-// every decoded record. This pins the streaming and materialised
-// ingestion paths to one interpretation of each encoding.
+// FuzzStreamDecode feeds arbitrary bytes to the sniffing decoder. It
+// must not panic; anything it accepts must re-encode in the sniffed
+// format and decode back to the same trace; and an accepted gzip input
+// must be a whole gzip stream whose checksum verifies.
 func FuzzStreamDecode(f *testing.F) {
 	var bin, gz bytes.Buffer
 	seed := Trace{
@@ -93,39 +95,41 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte{0x1f, 0x8b, 0x00})
 	f.Add(bin.Bytes()[:17])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, derr := NewDecoder(bytes.NewReader(data))
-		var streamed Trace
-		if derr == nil {
-			streamed, derr = d.ReadAll()
-		}
-
-		var mat Trace
-		var merr error
-		format := "csv"
-		if d != nil {
-			format = d.Format()
-		} else if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-			format = "gz"
-		} else if len(data) >= 4 && string(data[:4]) == "KCOM" { // LE "MOCK"
-			format = "bin"
-		}
-		switch format {
-		case "bin":
-			mat, merr = ReadBinary(bytes.NewReader(data))
-		case "gz":
-			mat, merr = ReadGzip(bytes.NewReader(data))
-		default:
-			mat, merr = ReadCSV(bytes.NewReader(data))
-		}
-
-		if (derr == nil) != (merr == nil) {
-			t.Fatalf("decoder err=%v but materialized %s reader err=%v", derr, format, merr)
-		}
-		if derr != nil {
+		d, err := NewDecoder(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
-		if len(streamed) != len(mat) || (len(mat) > 0 && !reflect.DeepEqual(streamed, mat)) {
-			t.Fatalf("decoder and materialized %s reader disagree: %d vs %d requests", format, len(streamed), len(mat))
+		tr, err := d.ReadAll()
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		switch d.Format() {
+		case "bin":
+			_, err = WriteBinary(&out, tr)
+		case "gz":
+			if zr, zerr := gzip.NewReader(bytes.NewReader(data)); zerr != nil {
+				t.Fatalf("accepted gzip input does not open: %v", zerr)
+			} else if _, zerr := io.Copy(io.Discard, zr); zerr != nil {
+				t.Fatalf("accepted gzip input does not verify: %v", zerr)
+			}
+			err = WriteGzip(&out, tr)
+		default:
+			_, err = WriteCSV(&out, tr)
+		}
+		if err != nil {
+			t.Fatalf("re-encoding accepted %s trace: %v", d.Format(), err)
+		}
+		d2, err := NewDecoder(&out)
+		if err != nil {
+			t.Fatalf("re-decoding re-encoded %s trace: %v", d.Format(), err)
+		}
+		tr2, err := d2.ReadAll()
+		if err != nil {
+			t.Fatalf("re-decoding re-encoded %s trace: %v", d.Format(), err)
+		}
+		if d2.Format() != d.Format() || len(tr) != len(tr2) || (len(tr) > 0 && !reflect.DeepEqual(tr, tr2)) {
+			t.Fatalf("%s round trip changed the trace: %d vs %d requests (re-sniffed as %s)", d.Format(), len(tr), len(tr2), d2.Format())
 		}
 	})
 }
@@ -148,7 +152,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if _, err := WriteBinary(&bin, tr); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadBinary(&bin)
+		got, err := decode(&bin)
 		if err != nil {
 			t.Fatalf("decoding valid trace: %v", err)
 		}
@@ -160,7 +164,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err := WriteGzip(&gz, tr); err != nil {
 			t.Fatal(err)
 		}
-		got, err = ReadGzip(&gz)
+		got, err = decode(&gz)
 		if err != nil {
 			t.Fatalf("decoding valid gzip trace: %v", err)
 		}

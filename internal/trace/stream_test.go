@@ -74,7 +74,7 @@ func TestStreamLimit(t *testing.T) {
 	if !bytes.Equal(limited.Bytes(), prefix.Bytes()) {
 		t.Fatal("n-limited stream differs from the trace prefix encoding")
 	}
-	got, err := ReadBinary(&limited)
+	got, err := decode(&limited)
 	if err != nil {
 		t.Fatal(err)
 	}
