@@ -108,7 +108,7 @@ func cmdCompose(args []string) {
 // directory: the file <id>.mfp (or <id>.profile.gz) is taken to be the
 // profile with that address without re-hashing — appropriate for a
 // directory the user populated from trusted downloads. Either file
-// opens through openProfile, so flat files are memory-mapped and
+// opens through loadProfile, so flat files are memory-mapped and
 // synthesized zero-copy.
 func dirResolver(dir string) scenario.Resolver {
 	return func(id string) (profile.View, func(), error) {
@@ -119,10 +119,6 @@ func dirResolver(dir string) scenario.Resolver {
 				return nil, nil, fmt.Errorf("no %s.mfp or %s.profile.gz in %s", id, id, dir)
 			}
 		}
-		f, err := openProfile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, func() { f.Close() }, nil
+		return loadProfile(path)
 	}
 }

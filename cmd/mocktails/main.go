@@ -96,15 +96,22 @@ func cmdInspect(args []string) {
 	if *in == "" {
 		fatal(fmt.Errorf("inspect: need -in"))
 	}
-	profile.Dump(os.Stdout, readProfile(*in), *leaves)
+	v, closeIn, err := loadProfile(*in)
+	if err != nil {
+		fatal(err)
+	}
+	defer closeIn()
+	profile.Dump(os.Stdout, v, *leaves)
 }
 
-// loadProfile reads a profile in either encoding, sniffing the format
+// loadProfile opens a profile in either encoding, sniffing the format
 // from the bytes ("-" reads stdin); it is the only code that tells the
-// two encodings apart. A gz profile is decoded once into a heap profile
-// (f is nil); a flat file is memory-mapped and flat stdin opens over
-// its buffer (p is nil). The caller must Close a non-nil f.
-func loadProfile(path string) (p *profile.Profile, f *profile.Flat, err error) {
+// two encodings apart, and every subcommand that reads a profile reads
+// it here. A gz profile is decoded once into a heap profile; a flat
+// file is memory-mapped and flat stdin opens over its buffer. Either
+// way the caller reads the returned View in place and calls closeIn
+// when done with it.
+func loadProfile(path string) (v profile.View, closeIn func(), err error) {
 	in, err := openInput(path)
 	if err != nil {
 		return nil, nil, err
@@ -112,6 +119,7 @@ func loadProfile(path string) (p *profile.Profile, f *profile.Flat, err error) {
 	defer in.Close()
 	br := bufio.NewReader(in)
 	hdr, _ := br.Peek(8)
+	var f *profile.Flat
 	switch {
 	case profile.SniffFlat(hdr) && path != "-":
 		f, err = profile.OpenFlatFile(path)
@@ -121,12 +129,16 @@ func loadProfile(path string) (p *profile.Profile, f *profile.Flat, err error) {
 			f, err = profile.OpenFlat(buf)
 		}
 	default:
-		p, err = profile.ReadGzip(br)
+		var p *profile.Profile
+		if p, err = profile.ReadGzip(br); err == nil {
+			return p, func() {}, nil
+		}
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", inputName(path), err)
 	}
-	return p, f, nil
+	// The flat input is only read, so unmapping it cannot lose data.
+	return f, func() { f.Close() }, nil
 }
 
 // inputName names an -in path in error messages.
@@ -135,40 +147,6 @@ func inputName(path string) string {
 		return "stdin"
 	}
 	return path
-}
-
-// openProfile opens a profile in either encoding (see loadProfile) as
-// a flat view; a gz profile is re-encoded flat, so every caller
-// synthesizes from the same representation the daemon serves from. The
-// caller must Close the result.
-func openProfile(path string) (*profile.Flat, error) {
-	p, f, err := loadProfile(path)
-	if err != nil || f != nil {
-		return f, err
-	}
-	buf, err := profile.MarshalFlat(p)
-	if err == nil {
-		f, err = profile.OpenFlat(buf)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", inputName(path), err)
-	}
-	return f, nil
-}
-
-// readProfile loads a profile in either encoding (see loadProfile) as a
-// heap profile: a gz profile is decoded once, a flat one copied out of
-// its view.
-func readProfile(path string) *profile.Profile {
-	p, f, err := loadProfile(path)
-	if err != nil {
-		fatal(err)
-	}
-	if f != nil {
-		defer f.Close()
-		p = f.Profile()
-	}
-	return p
 }
 
 func fatal(err error) {
@@ -343,41 +321,29 @@ func cmdConvert(args []string) {
 	}
 	_, stop := of.Start("mocktails.convert")
 	defer stop()
-	p, f, err := loadProfile(*in)
+	v, closeIn, err := loadProfile(*in)
 	if err != nil {
 		fatal(err)
 	}
 	// A flat input converted to flat is written as the verified bytes it
-	// is, with no decode or re-encode. Everything is read out of the
-	// input (a mapping of it, for a flat file) before -out is created,
-	// so -out may name the input.
-	var flat []byte
-	var leaves int
-	if f != nil {
-		leaves = f.NumLeaves()
-		if target == "flat" {
-			flat = bytes.Clone(f.Bytes())
-		} else {
-			p = f.Profile()
-		}
-		f.Close()
-	} else {
-		leaves = len(p.Leaves)
-	}
-	o, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	switch {
-	case flat != nil:
-		_, err = o.Write(flat)
-	case target == "flat":
-		err = profile.WriteFlat(o, p)
+	// is, with no decode or re-encode. The output is encoded in memory
+	// and the input closed before -out is created, so -out may name the
+	// input (a mapping of it, for a flat file).
+	leaves := v.NumLeaves()
+	var data []byte
+	switch f, isFlat := v.(*profile.Flat); {
+	case target == "gz":
+		var buf bytes.Buffer
+		err = profile.WriteGzip(&buf, v)
+		data = buf.Bytes()
+	case isFlat:
+		data = bytes.Clone(f.Bytes())
 	default:
-		err = profile.WriteGzip(o, p)
+		data, err = profile.MarshalFlat(v)
 	}
-	if cerr := o.Close(); err == nil {
-		err = cerr
+	closeIn()
+	if err == nil {
+		err = os.WriteFile(*out, data, 0o666)
 	}
 	if err != nil {
 		fatal(err)
@@ -403,23 +369,23 @@ func cmdSynth(args []string) {
 	}
 	ctx, stop := of.Start("mocktails.synth")
 	defer stop()
-	// The input encoding is sniffed, not configured; synthesis always
-	// runs over a flat view (see openProfile), so output is
-	// byte-identical for either encoding.
+	// The input encoding is sniffed, not configured; synthesis reads
+	// either encoding in place, and its output depends only on the
+	// profile's contents.
 	_, lsp := obs.Start(ctx, "load")
-	fp, err := openProfile(*in)
+	v, closeIn, err := loadProfile(*in)
 	if err != nil {
 		fatal(err)
 	}
-	defer fp.Close()
-	lsp.SetCount("leaves", int64(fp.NumLeaves()))
+	defer closeIn()
+	lsp.SetCount("leaves", int64(v.NumLeaves()))
 	lsp.End()
 	j := *workers
 	if j <= 0 {
 		j = par.Default()
 	}
 	sctx, ssp := obs.Start(ctx, "synth")
-	src := core.SynthesizeFrom(fp, *seed, core.SynthWorkers(j), core.SynthContext(sctx))
+	src := core.SynthesizeFrom(v, *seed, core.SynthWorkers(j), core.SynthContext(sctx))
 	t := trace.Collect(src, int(*n))
 	if c, ok := src.(interface{ Close() }); ok {
 		c.Close() // flush the merge stats when -n truncated the stream
@@ -448,7 +414,8 @@ func cmdSynth(args []string) {
 	if *out == "-" {
 		summary = os.Stderr // keep the trace bytes clean on stdout
 	}
-	fmt.Fprintf(summary, "synthesised %d requests from %s\n", len(t), fp.Name())
+	name, _ := v.Header()
+	fmt.Fprintf(summary, "synthesised %d requests from %s\n", len(t), name)
 }
 
 func cmdStats(args []string) {

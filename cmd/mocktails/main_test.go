@@ -223,42 +223,39 @@ func TestCLIFlatFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("profile -format flat output does not open: %v", err)
 	}
-	if f.Name() != "tiny" || f.Requests() != 400 {
-		t.Fatalf("flat profile header: name %q, %d requests", f.Name(), f.Requests())
+	if name, _ := f.Header(); name != "tiny" || f.Requests() != 400 {
+		t.Fatalf("flat profile header: name %q, %d requests", name, f.Requests())
 	}
 	f.Close()
 
-	// convert gz -> flat (target inferred from .mfp) must byte-match the
-	// directly-written flat file; flat -> gz must byte-match the gz one.
-	convFlat := filepath.Join(dir, "conv.mfp")
-	convGz := filepath.Join(dir, "conv.profile.gz")
-	if out, code := runSelf(t, "convert", "-in", gzProf, "-out", convFlat); code != 0 {
-		t.Fatalf("convert to flat: exit %d, output:\n%s", code, out)
-	}
-	if !fileEqual(t, convFlat, flatProf) {
-		t.Fatal("converted flat file differs from directly-written one")
-	}
-	// convert flat -> flat writes the input bytes unchanged, also when
-	// -out names the input file itself.
-	flatCopy := filepath.Join(dir, "copy.mfp")
-	if out, code := runSelf(t, "convert", "-in", flatProf, "-out", flatCopy); code != 0 {
-		t.Fatalf("convert flat to flat: exit %d, output:\n%s", code, out)
-	}
-	if out, code := runSelf(t, "convert", "-in", flatCopy, "-out", flatCopy); code != 0 {
-		t.Fatalf("convert flat to flat in place: exit %d, output:\n%s", code, out)
-	}
-	if !fileEqual(t, flatCopy, flatProf) {
-		t.Fatal("flat -> flat conversion changed the bytes")
-	}
-	if out, code := runSelf(t, "convert", "-in", convFlat, "-out", convGz, "-to", "gz"); code != 0 {
-		t.Fatalf("convert to gz: exit %d, output:\n%s", code, out)
-	}
-	if !fileEqual(t, convGz, gzProf) {
-		t.Fatal("flat -> gz conversion differs from the gz profile written directly")
+	// convert in each of the four directions gives exactly the bytes
+	// profile writes in the target encoding (-to inferred from .mfp, or
+	// given). A same-encoding convert also does so in place, with -out
+	// naming the input file itself.
+	for _, src := range []string{gzProf, flatProf} {
+		for _, want := range []string{gzProf, flatProf} {
+			conv := filepath.Join(dir, "conv-"+filepath.Base(src)+"-"+filepath.Base(want))
+			args := []string{"convert", "-in", src, "-out", conv}
+			if want == gzProf {
+				args = append(args, "-to", "gz")
+			}
+			if out, code := runSelf(t, args...); code != 0 {
+				t.Fatalf("%v: exit %d, output:\n%s", args, code, out)
+			}
+			if src == want {
+				args[2] = conv // the -in value
+				if out, code := runSelf(t, args...); code != 0 {
+					t.Fatalf("%v: exit %d, output:\n%s", args, code, out)
+				}
+			}
+			if !fileEqual(t, conv, want) {
+				t.Fatalf("convert %s to %s differs from %s", src, conv, want)
+			}
+		}
 	}
 
-	// inspect decodes a gz profile directly and copies a flat one out
-	// of its view; both must print the same dump.
+	// inspect reads a gz profile and a flat one in place; both must
+	// print the same dump.
 	flatDump, code := runSelf(t, "inspect", "-in", flatProf, "-leaves", "1000")
 	if code != 0 || !strings.Contains(flatDump, "tiny") {
 		t.Fatalf("inspect flat: exit %d, output:\n%s", code, flatDump)

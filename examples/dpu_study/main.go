@@ -30,7 +30,7 @@ func main() {
 		}
 		cfg := dram.Default()
 		base := dram.Run(trace.NewReplayer(t), cfg, 20)
-		syn := dram.Run(core.Synthesize(p, 7), cfg, 20)
+		syn := dram.Run(core.SynthesizeFrom(p, 7), cfg, 20)
 
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("  read row hit rate:  baseline %.1f%%  mocktails %.1f%%\n",

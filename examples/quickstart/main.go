@@ -59,7 +59,7 @@ func main() {
 	}
 	cfg := dram.Default()
 	base := dram.Run(trace.NewReplayer(t), cfg, 20)
-	syn := dram.Run(core.Synthesize(p2, 42), cfg, 20)
+	syn := dram.Run(core.SynthesizeFrom(p2, 42), cfg, 20)
 
 	fmt.Println("\nmemory-controller comparison (baseline vs Mocktails):")
 	row := func(name string, b, s float64) {

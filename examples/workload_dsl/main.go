@@ -67,7 +67,7 @@ func main() {
 
 	cfg := dram.Default()
 	ref := dram.Run(trace.NewReplayer(tr), cfg, 20)
-	got := dram.Run(core.Synthesize(p, 1), cfg, 20)
+	got := dram.Run(core.SynthesizeFrom(p, 1), cfg, 20)
 	fmt.Println("\nclone vs original at the memory controller:")
 	validate.Compare(ref, got).Fprint(os.Stdout)
 

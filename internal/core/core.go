@@ -6,7 +6,7 @@
 //
 //   - Build: industry side — turn a (proprietary) trace into a statistical
 //     profile that can be distributed freely.
-//   - Synthesize / SynthesizeTrace: academia side — recreate a request
+//   - SynthesizeFrom / SynthesizeTrace: academia side — recreate a request
 //     stream from a profile and plug it into a simulator of choice, either
 //     as a trace (Option A) or as a live trace.Source with backpressure
 //     feedback (Option B).
@@ -89,18 +89,14 @@ func SynthWorkers(n int) SynthOption { return synth.Workers(n) }
 // The stream is identical with or without it.
 func SynthContext(ctx context.Context) SynthOption { return synth.Context(ctx) }
 
-// Synthesize returns a live request source that regenerates the
+// SynthesizeFrom returns a live request source that regenerates the
 // workload's behaviour from the profile. The source implements
 // trace.Source, including backpressure feedback via Delay, so it can be
-// coupled tightly to a simulator (Option B in Fig. 1).
-func Synthesize(p *profile.Profile, seed uint64, opts ...SynthOption) trace.Source {
-	return synth.New(p, seed, opts...)
-}
-
-// SynthesizeFrom is Synthesize for any profile representation — a
-// decoded heap profile or a zero-copy flat view over a mapped buffer
-// (profile.OpenFlat / profile.OpenFlatFile). The stream depends only
-// on the profile contents and the seed, never on the representation.
+// coupled tightly to a simulator (Option B in Fig. 1). The profile may
+// be a decoded heap profile or a zero-copy flat view over a mapped
+// buffer (profile.OpenFlat / profile.OpenFlatFile); the stream depends
+// only on the profile contents and the seed, never on the
+// representation.
 func SynthesizeFrom(v profile.View, seed uint64, opts ...SynthOption) trace.Source {
 	return synth.NewFrom(v, seed, opts...)
 }
@@ -110,9 +106,9 @@ func SynthesizeFrom(v profile.View, seed uint64, opts ...SynthOption) trace.Sour
 // result is sorted by time. The output length is known up front — every
 // leaf emits exactly its Count requests — so the trace is allocated
 // once instead of grown.
-func SynthesizeTrace(p *profile.Profile, seed uint64, opts ...SynthOption) trace.Trace {
-	src := synth.New(p, seed, opts...)
-	t := make(trace.Trace, 0, p.Requests())
+func SynthesizeTrace(v profile.View, seed uint64, opts ...SynthOption) trace.Trace {
+	src := synth.NewFrom(v, seed, opts...)
+	t := make(trace.Trace, 0, v.Requests())
 	for {
 		req, ok := src.Next()
 		if !ok {

@@ -62,7 +62,7 @@ func TestBuildAndSynthesize(t *testing.T) {
 	if p.Requests() != len(tr) {
 		t.Errorf("profile holds %d requests, want %d", p.Requests(), len(tr))
 	}
-	got := trace.Collect(Synthesize(p, 5), 0)
+	got := trace.Collect(SynthesizeFrom(p, 5), 0)
 	if len(got) != len(tr) {
 		t.Errorf("synthesised %d requests, want %d", len(got), len(tr))
 	}

@@ -23,7 +23,7 @@ func (e *Env) runConfig(name string, cfg partition.Config) dram.Result {
 	if err != nil {
 		panic(err)
 	}
-	return dram.Run(core.Synthesize(p, e.Seed), e.DRAMCfg, e.XbarLat)
+	return dram.Run(core.SynthesizeFrom(p, e.Seed), e.DRAMCfg, e.XbarLat)
 }
 
 // rowHitError returns the combined read+write row-hit percent error of a
@@ -120,7 +120,7 @@ func (e *Env) RunAblationPrivacy() *Table {
 			if eps > 0 {
 				prof = privacy.Noise(p, eps, e.Seed)
 			}
-			r := dram.Run(core.Synthesize(prof, e.Seed), e.DRAMCfg, e.XbarLat)
+			r := dram.Run(core.SynthesizeFrom(prof, e.Seed), e.DRAMCfg, e.XbarLat)
 			rowErr := e.rowHitError(name, r)
 			latErr := stats.PercentError(r.AvgLatency, base.AvgLatency)
 			row = append(row, fmt.Sprintf("%.1f/%.1f", rowErr, latErr))
@@ -168,8 +168,8 @@ func (e *Env) RunChargeCache() *Table {
 		}
 		realBase := e.Baseline(s.Name)
 		realOpt := dram.Run(trace.NewReplayer(tr), ccCfg, e.XbarLat)
-		cloneBase := dram.Run(core.Synthesize(p, e.Seed), e.DRAMCfg, e.XbarLat)
-		cloneOpt := dram.Run(core.Synthesize(p, e.Seed), ccCfg, e.XbarLat)
+		cloneBase := dram.Run(core.SynthesizeFrom(p, e.Seed), e.DRAMCfg, e.XbarLat)
+		cloneOpt := dram.Run(core.SynthesizeFrom(p, e.Seed), ccCfg, e.XbarLat)
 		tab.Rows = append(tab.Rows, []string{dev, s.Name,
 			f(improv(realBase, realOpt), 2), f(improv(cloneBase, cloneOpt), 2),
 			f(hitRate(realOpt), 1), f(hitRate(cloneOpt), 1)})

@@ -157,7 +157,7 @@ func (e *Env) McC(name string) dram.Result {
 		if err != nil {
 			panic(err)
 		}
-		return dram.Run(core.Synthesize(p, e.Seed), e.DRAMCfg, e.XbarLat)
+		return dram.Run(core.SynthesizeFrom(p, e.Seed), e.DRAMCfg, e.XbarLat)
 	})
 }
 

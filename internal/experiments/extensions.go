@@ -140,7 +140,7 @@ func (e *Env) RunSoC() *Table {
 		if err != nil {
 			panic(err)
 		}
-		mock = append(mock, core.Synthesize(p, e.Seed+uint64(i)))
+		mock = append(mock, core.SynthesizeFrom(p, e.Seed+uint64(i)))
 	}
 	base := dram.Run(trace.Merge(real...), e.DRAMCfg, e.XbarLat)
 	syn := dram.Run(trace.Merge(mock...), e.DRAMCfg, e.XbarLat)

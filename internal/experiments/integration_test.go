@@ -26,7 +26,7 @@ func TestOptionAEqualsOptionB(t *testing.T) {
 	synTrace := core.SynthesizeTrace(p, 7)
 	resA := dram.Run(trace.NewReplayer(synTrace), e.DRAMCfg, e.XbarLat)
 	// Option B: drive the simulator from the live synthesizer.
-	resB := dram.Run(core.Synthesize(p, 7), e.DRAMCfg, e.XbarLat)
+	resB := dram.Run(core.SynthesizeFrom(p, 7), e.DRAMCfg, e.XbarLat)
 
 	if resA.ReadBursts() != resB.ReadBursts() || resA.WriteBursts() != resB.WriteBursts() {
 		t.Errorf("burst counts differ: A %d/%d B %d/%d",

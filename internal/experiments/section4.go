@@ -394,7 +394,7 @@ func (e *Env) RunFig13() *Table {
 				if err != nil {
 					panic(err)
 				}
-				got := dram.Run(core.Synthesize(p, e.Seed), e.DRAMCfg, e.XbarLat).AvgLatency
+				got := dram.Run(core.SynthesizeFrom(p, e.Seed), e.DRAMCfg, e.XbarLat).AvgLatency
 				errsByDev[dev] = append(errsByDev[dev], stats.PercentError(got, ref))
 			}
 		}

@@ -47,9 +47,9 @@ func TestNoisePanicsOnBadEpsilon(t *testing.T) {
 
 func TestNoiseLeavesOriginalUntouched(t *testing.T) {
 	p := build(t, 2)
-	before := p.Stats()
+	before := profile.StatsOf(p)
 	Noise(p, 0.5, 1)
-	if p.Stats() != before {
+	if profile.StatsOf(p) != before {
 		t.Error("Noise mutated the input profile")
 	}
 }
@@ -91,7 +91,7 @@ func TestNoiseDeterministicPerSeed(t *testing.T) {
 	p := build(t, 5)
 	a := Noise(p, 0.5, 7)
 	b := Noise(p, 0.5, 7)
-	if a.Stats() != b.Stats() {
+	if profile.StatsOf(a) != profile.StatsOf(b) {
 		t.Error("same seed gave different noised profiles")
 	}
 }
@@ -99,7 +99,7 @@ func TestNoiseDeterministicPerSeed(t *testing.T) {
 func TestNoisedProfileStillSynthesizes(t *testing.T) {
 	p := build(t, 6)
 	np := Noise(p, 0.5, 9)
-	got := trace.Collect(core.Synthesize(np, 1), 0)
+	got := trace.Collect(core.SynthesizeFrom(np, 1), 0)
 	if len(got) != p.Requests() {
 		t.Errorf("noised profile synthesised %d requests, want %d", len(got), p.Requests())
 	}
@@ -156,7 +156,7 @@ func TestFullyNoisedRowDegeneratesToConstant(t *testing.T) {
 	p := build(t, 8)
 	// Absurdly strong noise: many rows vanish; model must stay usable.
 	np := Noise(p, 0.001, 19)
-	got := trace.Collect(core.Synthesize(np, 1), 0)
+	got := trace.Collect(core.SynthesizeFrom(np, 1), 0)
 	if len(got) != p.Requests() {
 		t.Errorf("synthesised %d, want %d", len(got), p.Requests())
 	}

@@ -28,7 +28,7 @@ const (
 // Write serialises the profile (uncompressed varint records). Records
 // stream through a bufio.Writer rather than accumulating in one large
 // buffer.
-func Write(w io.Writer, p *Profile) error {
+func Write(w io.Writer, v View) error {
 	bw := bufio.NewWriter(w)
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
@@ -70,11 +70,14 @@ func Write(w io.Writer, p *Profile) error {
 	binary.LittleEndian.PutUint32(hdr[0:], profileMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], profileVersion)
 	bw.Write(hdr[:])
-	putString(p.Name)
-	putString(p.Config)
-	putUvarint(uint64(len(p.Leaves)))
-	for i := range p.Leaves {
-		l := &p.Leaves[i]
+	name, config := v.Header()
+	putString(name)
+	putString(config)
+	n := v.NumLeaves()
+	putUvarint(uint64(n))
+	var scratch Leaf
+	for i := 0; i < n; i++ {
+		l := v.LeafView(i, &scratch)
 		putUvarint(l.StartTime)
 		putUvarint(l.StartAddr)
 		putUvarint(l.Lo)
@@ -245,9 +248,9 @@ func Read(r io.Reader) (*Profile, error) {
 }
 
 // WriteGzip writes the profile through gzip; this is the on-disk format.
-func WriteGzip(w io.Writer, p *Profile) error {
+func WriteGzip(w io.Writer, v View) error {
 	zw := gzip.NewWriter(w)
-	if err := Write(zw, p); err != nil {
+	if err := Write(zw, v); err != nil {
 		zw.Close()
 		return err
 	}
@@ -279,9 +282,9 @@ func ReadGzip(r io.Reader) (*Profile, error) {
 
 // EncodedSize returns the gzip-compressed size of the profile in bytes,
 // used by the Fig. 17 metadata-overhead experiment.
-func EncodedSize(p *Profile) (int, error) {
+func EncodedSize(v View) (int, error) {
 	var buf bytes.Buffer
-	if err := WriteGzip(&buf, p); err != nil {
+	if err := WriteGzip(&buf, v); err != nil {
 		return 0, err
 	}
 	return buf.Len(), nil

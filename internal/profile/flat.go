@@ -80,9 +80,9 @@ func FlatNoVerify() FlatOption { return func(o *flatOpts) { o.noVerify = true } 
 
 // Flat is a profile opened from a flat buffer. Its sections are slice
 // views over the underlying buffer (zero-copy on little-endian hosts);
-// it implements View, so it can drive synthesis directly, and converts
-// to a heap *Profile with Profile. A Flat over an mmap-ed file must be
-// released with Close; the views must not be used after.
+// it implements View, so synthesis, the encoders and Dump read it in
+// place. A Flat over an mmap-ed file must be released with Close; the
+// views must not be used after.
 type Flat struct {
 	data []byte
 
@@ -319,11 +319,8 @@ func (f *Flat) validateModels() error {
 	return nil
 }
 
-// Name returns the profile's workload label.
-func (f *Flat) Name() string { return f.name }
-
-// Config returns the partitioning configuration string.
-func (f *Flat) Config() string { return f.config }
+// Header implements View.
+func (f *Flat) Header() (name, config string) { return f.name, f.config }
 
 // Size returns the encoded size in bytes.
 func (f *Flat) Size() int { return len(f.data) }
@@ -387,33 +384,6 @@ func (f *Flat) model(mi int, m *markov.Model) {
 	}
 }
 
-// Profile converts the flat profile to an independent heap profile,
-// deep-copying every table: the result stays valid after Close and is
-// safe to mutate (the flat buffer may be a read-only mapping).
-func (f *Flat) Profile() *Profile {
-	p := &Profile{Name: f.name, Config: f.config, Leaves: make([]Leaf, f.nLeaves)}
-	var scratch Leaf
-	for i := range p.Leaves {
-		l := *f.LeafView(i, &scratch)
-		l.DeltaTime = cloneModel(l.DeltaTime)
-		l.Stride = cloneModel(l.Stride)
-		l.Op = cloneModel(l.Op)
-		l.Size = cloneModel(l.Size)
-		p.Leaves[i] = l
-	}
-	return p
-}
-
-func cloneModel(m markov.Model) markov.Model {
-	m.Vals = append([]int64(nil), m.Vals...)
-	m.RowOff = append([]uint32(nil), m.RowOff...)
-	m.To = append([]uint32(nil), m.To...)
-	m.N = append([]uint32(nil), m.N...)
-	m.RowSum = append([]uint64(nil), m.RowSum...)
-	m.ValN = append([]uint32(nil), m.ValN...)
-	return m
-}
-
 // Close releases the resources behind the buffer (the mapping, for an
 // mmap-ed file). It is a no-op for in-memory buffers and safe to call
 // once; no view derived from the Flat may be used afterwards.
@@ -431,10 +401,11 @@ type flatCounts struct {
 	edges, vals, offs int
 }
 
-func countFlat(p *Profile) (flatCounts, error) {
+func countFlat(v View) (flatCounts, error) {
 	var c flatCounts
-	for i := range p.Leaves {
-		l := &p.Leaves[i]
+	var scratch Leaf
+	for i := 0; i < v.NumLeaves(); i++ {
+		l := v.LeafView(i, &scratch)
 		for _, m := range [...]*markov.Model{&l.DeltaTime, &l.Stride, &l.Op, &l.Size} {
 			if m.Constant {
 				continue
@@ -450,7 +421,7 @@ func countFlat(p *Profile) (flatCounts, error) {
 	}
 	if uint64(c.edges) > math.MaxUint32 ||
 		uint64(c.vals) > math.MaxUint32 || uint64(c.offs) > math.MaxUint32 ||
-		uint64(len(p.Leaves)) > math.MaxUint32/4 {
+		uint64(v.NumLeaves()) > math.MaxUint32/4 {
 		return c, errors.New("profile: too large for flat encoding")
 	}
 	return c, nil
@@ -459,17 +430,19 @@ func countFlat(p *Profile) (flatCounts, error) {
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
 // MarshalFlat encodes the profile in the flat format. The encoding is
-// a deterministic function of p, padding included, so equal profiles
-// encode to equal bytes.
-func MarshalFlat(p *Profile) ([]byte, error) {
-	c, err := countFlat(p)
+// a deterministic function of the profile's contents, padding included,
+// so equal profiles encode to equal bytes, whichever View they are
+// read through.
+func MarshalFlat(v View) ([]byte, error) {
+	c, err := countFlat(v)
 	if err != nil {
 		return nil, err
 	}
 
-	nLeaves := len(p.Leaves)
+	name, config := v.Header()
+	nLeaves := v.NumLeaves()
 	sizes := [flatSections]uint64{
-		secStrings: uint64(len(p.Name) + len(p.Config)),
+		secStrings: uint64(len(name) + len(config)),
 		secLeafTab: uint64(nLeaves) * leafRecBytes,
 		secModels:  uint64(nLeaves) * 4 * modelRecBytes,
 		secRowOff:  uint64(c.offs) * 4,
@@ -494,12 +467,12 @@ func MarshalFlat(p *Profile) ([]byte, error) {
 	le.PutUint64(buf[8:], total)
 	le.PutUint32(buf[16:], uint32(nLeaves))
 	le.PutUint32(buf[20:], flatSections)
-	le.PutUint64(buf[24:], uint64(p.Requests()))
-	le.PutUint32(buf[40:], uint32(len(p.Name)))
-	le.PutUint32(buf[44:], uint32(len(p.Config)))
+	le.PutUint64(buf[24:], uint64(v.Requests()))
+	le.PutUint32(buf[40:], uint32(len(name)))
+	le.PutUint32(buf[44:], uint32(len(config)))
 
-	copy(buf[offs[secStrings]:], p.Name)
-	copy(buf[offs[secStrings]+uint64(len(p.Name)):], p.Config)
+	copy(buf[offs[secStrings]:], name)
+	copy(buf[offs[secStrings]+uint64(len(name)):], config)
 
 	leafTab := buf[offs[secLeafTab]:]
 	modelTab := buf[offs[secModels]:]
@@ -545,8 +518,9 @@ func MarshalFlat(p *Profile) ([]byte, error) {
 		edgeAt += uint32(len(m.To))
 		valAt += uint32(len(m.Vals))
 	}
-	for i := range p.Leaves {
-		l := &p.Leaves[i]
+	var scratch Leaf
+	for i := 0; i < nLeaves; i++ {
+		l := v.LeafView(i, &scratch)
 		rec := leafTab[i*leafRecBytes:]
 		le.PutUint64(rec[0:], l.StartTime)
 		le.PutUint64(rec[8:], l.StartAddr)
@@ -572,9 +546,9 @@ func MarshalFlat(p *Profile) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFlat writes the flat encoding of p to w.
-func WriteFlat(w io.Writer, p *Profile) error {
-	buf, err := MarshalFlat(p)
+// WriteFlat writes the flat encoding of v to w.
+func WriteFlat(w io.Writer, v View) error {
+	buf, err := MarshalFlat(v)
 	if err != nil {
 		return err
 	}

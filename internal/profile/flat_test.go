@@ -13,6 +13,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // flatTestProfile builds a moderately rich profile: multiple leaves,
@@ -43,8 +44,26 @@ func flatTestProfile(t *testing.T) *Profile {
 	return p
 }
 
+// TestFlatRoundTrip encodes flatTestProfile and every Table II proxy
+// profile flat and reads the result back as a View: each leaf equals
+// the heap leaf, and the varint and flat encoders give the same bytes
+// for the flat view as for the heap profile it came from, so an address
+// taken over either encoding survives a conversion.
 func TestFlatRoundTrip(t *testing.T) {
-	p := flatTestProfile(t)
+	profiles := []*Profile{flatTestProfile(t)}
+	for _, spec := range workloads.Catalog() {
+		p, err := Build(spec.Name, spec.Gen(), partition.TwoLevelTS(500000))
+		if err != nil {
+			t.Fatalf("Build %s: %v", spec.Name, err)
+		}
+		profiles = append(profiles, p)
+	}
+	for _, p := range profiles {
+		t.Run(p.Name, func(t *testing.T) { checkFlatRoundTrip(t, p) })
+	}
+}
+
+func checkFlatRoundTrip(t *testing.T, p *Profile) {
 	buf, err := MarshalFlat(p)
 	if err != nil {
 		t.Fatalf("MarshalFlat: %v", err)
@@ -56,20 +75,19 @@ func TestFlatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFlat: %v", err)
 	}
-	if f.Name() != p.Name || f.Config() != p.Config {
-		t.Errorf("strings: %q/%q, want %q/%q", f.Name(), f.Config(), p.Name, p.Config)
+	if name, config := f.Header(); name != p.Name || config != p.Config {
+		t.Errorf("strings: %q/%q, want %q/%q", name, config, p.Name, p.Config)
 	}
 	if f.NumLeaves() != len(p.Leaves) || f.Requests() != p.Requests() {
 		t.Errorf("counts: %d leaves/%d reqs, want %d/%d",
 			f.NumLeaves(), f.Requests(), len(p.Leaves), p.Requests())
 	}
+	if StatsOf(f) != StatsOf(p) {
+		t.Errorf("StatsOf flat %+v, heap %+v", StatsOf(f), StatsOf(p))
+	}
 	// Offset 32 is reserved and written as zero.
 	if got := binary.LittleEndian.Uint64(buf[32:]); got != 0 {
 		t.Errorf("reserved header field = %d, want 0", got)
-	}
-	var canon bytes.Buffer
-	if err := Write(&canon, p); err != nil {
-		t.Fatal(err)
 	}
 	// Every leaf viewed through the flat buffer equals the heap leaf.
 	var scratch Leaf
@@ -82,18 +100,18 @@ func TestFlatRoundTrip(t *testing.T) {
 			t.Fatalf("leaf %d view differs from heap leaf", i)
 		}
 	}
-	// Deep conversion back to heap must re-encode to identical flat and
-	// canonical bytes: an address taken over either encoding survives
-	// a round trip.
-	if buf2, err := MarshalFlat(f.Profile()); err != nil || !bytes.Equal(buf2, buf) {
-		t.Errorf("flat->heap->flat conversion changes the flat encoding (err %v)", err)
+	if buf2, err := MarshalFlat(f); err != nil || !bytes.Equal(buf2, buf) {
+		t.Errorf("MarshalFlat of the flat view is not its own bytes (err %v)", err)
 	}
-	var canon2 bytes.Buffer
-	if err := Write(&canon2, f.Profile()); err != nil {
+	var canon, canon2 bytes.Buffer
+	if err := Write(&canon, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&canon2, f); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(canon.Bytes(), canon2.Bytes()) {
-		t.Error("flat->heap conversion changes canonical encoding")
+		t.Error("Write of the flat view differs from Write of the heap profile")
 	}
 }
 
@@ -115,7 +133,7 @@ func TestFlatFileMmap(t *testing.T) {
 	if err := Write(&canon, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&canon2, f.Profile()); err != nil {
+	if err := Write(&canon2, f); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(canon.Bytes(), canon2.Bytes()) {

@@ -106,7 +106,7 @@ func FuzzRoundTrip(f *testing.F) {
 // and never an allocation driven by an unvalidated length field (the
 // flat decoder only ever slices the input buffer). Any buffer the
 // verifying open accepts must also pass the structural-only open, view
-// every leaf, convert to a heap profile, and re-encode.
+// every leaf, and re-encode with Write.
 func FuzzFlatOpen(f *testing.F) {
 	tr := trace.Trace{
 		{Time: 1, Addr: 0x1000, Size: 64, Op: trace.Read},
@@ -140,9 +140,8 @@ func FuzzFlatOpen(f *testing.F) {
 			return
 		}
 		exerciseFlat(fp)
-		hp := fp.Profile()
 		var out bytes.Buffer
-		if err := Write(&out, hp); err != nil {
+		if err := Write(&out, fp); err != nil {
 			t.Fatalf("re-encoding accepted flat profile: %v", err)
 		}
 	})

@@ -110,7 +110,7 @@ func BuildStream(name string, rd trace.Reader, cfg partition.Config, opts ...Opt
 		return nil, fmt.Errorf("profile: build: %w", err)
 	}
 	p := &Profile{Name: name, Config: cfg.String(), Leaves: leaves}
-	s := p.Stats()
+	s := StatsOf(p)
 	mLeavesFitted.Add(uint64(s.Leaves))
 	mModelsMarkov.Add(uint64(s.Chains))
 	mModelsConstant.Add(uint64(s.Constants))
@@ -177,9 +177,9 @@ type Stats struct {
 	States    int
 }
 
-// Stats computes profile composition statistics.
-func (p *Profile) Stats() Stats {
-	s := Stats{Leaves: len(p.Leaves)}
+// StatsOf computes profile composition statistics.
+func StatsOf(v View) Stats {
+	s := Stats{Leaves: v.NumLeaves()}
 	count := func(m *markov.Model) {
 		if m.Constant {
 			s.Constants++
@@ -188,8 +188,9 @@ func (p *Profile) Stats() Stats {
 			s.States += m.States()
 		}
 	}
-	for i := range p.Leaves {
-		l := &p.Leaves[i]
+	var scratch Leaf
+	for i := 0; i < s.Leaves; i++ {
+		l := v.LeafView(i, &scratch)
 		count(&l.DeltaTime)
 		count(&l.Stride)
 		count(&l.Op)
@@ -200,7 +201,7 @@ func (p *Profile) Stats() Stats {
 
 // String summarises the profile.
 func (p *Profile) String() string {
-	s := p.Stats()
+	s := StatsOf(p)
 	return fmt.Sprintf("Profile(%s: %d leaves, %d requests, %d constants, %d chains)",
 		p.Name, s.Leaves, p.Requests(), s.Constants, s.Chains)
 }

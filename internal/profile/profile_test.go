@@ -98,7 +98,7 @@ func TestConstantFeaturesDetected(t *testing.T) {
 	if !l.DeltaTime.Constant || l.DeltaTime.Value != 10 {
 		t.Errorf("dt model = %v", l.DeltaTime.String())
 	}
-	s := p.Stats()
+	s := StatsOf(p)
 	if s.Chains != 0 || s.Constants != 4 {
 		t.Errorf("Stats = %+v, want all constants", s)
 	}
@@ -107,7 +107,7 @@ func TestConstantFeaturesDetected(t *testing.T) {
 func TestStatsCountsChains(t *testing.T) {
 	tr := sampleTrace()
 	p, _ := Build("sample", tr, partition.TwoLevelTS(1000))
-	s := p.Stats()
+	s := StatsOf(p)
 	if s.Leaves != len(p.Leaves) {
 		t.Errorf("Stats.Leaves = %d", s.Leaves)
 	}

@@ -1,11 +1,16 @@
 package profile
 
-// View is read access to a profile for synthesis, implemented by both
-// the heap representation (*Profile) and the zero-copy flat one
-// (*Flat). Synthesis binds generators to whichever backing store the
-// profile lives in — decoded heap objects or an mmap-ed flat buffer —
-// through this one interface, producing byte-identical streams.
+// View is read access to a profile, implemented by both the heap
+// representation (*Profile) and the zero-copy flat one (*Flat). It is
+// the one interface every consumer reads a profile through — synthesis,
+// the gzip and flat encoders, Dump and StatsOf — so a profile is read
+// where it lives, as decoded heap objects or an mmap-ed flat buffer,
+// and a flat profile is never copied back onto the heap. Every consumer
+// produces byte-identical output for either.
 type View interface {
+	// Header returns the workload name and the partitioning
+	// configuration string.
+	Header() (name, config string)
 	// NumLeaves returns the number of leaves.
 	NumLeaves() int
 	// Requests returns the total number of requests the profile
@@ -22,6 +27,9 @@ type View interface {
 	// is reused.
 	LeafView(i int, scratch *Leaf) *Leaf
 }
+
+// Header implements View.
+func (p *Profile) Header() (name, config string) { return p.Name, p.Config }
 
 // NumLeaves implements View.
 func (p *Profile) NumLeaves() int { return len(p.Leaves) }

@@ -141,7 +141,7 @@ func TestComposeIdentityMatchesPlainSynth(t *testing.T) {
 	spec := &Spec{Devices: []Device{{Profile: hexID('d'), Seed: 42}}}
 
 	composed := collect(t, mustCompose(t, spec, r.resolve, Workers(4)))
-	plain := trace.Collect(synth.New(p, 42), 0)
+	plain := trace.Collect(synth.NewFrom(p, 42), 0)
 	if !reflect.DeepEqual(composed, plain) {
 		t.Fatal("identity scenario differs from plain synthesis")
 	}

@@ -618,7 +618,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		if dl == "gz" {
 			w.Header().Set("Content-Type", contentTypeGz)
 			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".profile.gz"))
-			err = profile.WriteGzip(w, pin.View().Profile())
+			err = profile.WriteGzip(w, pin.View())
 		} else {
 			buf := pin.View().Bytes()
 			w.Header().Set("Content-Type", contentTypeFlat)

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -72,7 +73,7 @@ func uploadProfile(t *testing.T, ts *httptest.Server, p *profile.Profile) Meta {
 // (p, seed, n): the reference bytes a server stream must match.
 func offlineBin(t *testing.T, p *profile.Profile, seed uint64, n int) []byte {
 	t.Helper()
-	src := core.Synthesize(p, seed)
+	src := core.SynthesizeFrom(p, seed)
 	tr := trace.Collect(src, n)
 	if c, ok := src.(interface{ Close() }); ok {
 		c.Close()
@@ -86,7 +87,7 @@ func offlineBin(t *testing.T, p *profile.Profile, seed uint64, n int) []byte {
 
 func offlineCSV(t *testing.T, p *profile.Profile, seed uint64, n int) []byte {
 	t.Helper()
-	src := core.Synthesize(p, seed)
+	src := core.SynthesizeFrom(p, seed)
 	tr := trace.Collect(src, n)
 	if c, ok := src.(interface{ Close() }); ok {
 		c.Close()
@@ -382,6 +383,28 @@ func TestUploadEmptyTrace(t *testing.T) {
 	}
 }
 
+// A raw binary body holding two traces back to back is a client error:
+// the decoder requires the body to end after the first header's
+// records, so the second trace is not silently dropped.
+func TestUploadConcatenatedBinTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var body bytes.Buffer
+	for _, seed := range []uint64{8, 9} {
+		if _, err := trace.WriteBinary(&body, testTrace(seed, 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/profiles?kind=trace", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("trailing data")) {
+		t.Fatalf("status %d body %s, want 400 trailing data", resp.StatusCode, msg)
+	}
+}
+
 // A zero-size request whose empty range touches the end of a merged
 // region fits like any other: dynamic partitioning counts it as one
 // byte rather than crashing the handler.
@@ -434,7 +457,7 @@ func TestGetProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtID, _, err := ProfileID(f.Profile())
+	rtID, _, err := ProfileID(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,7 +722,8 @@ func TestParseBytes(t *testing.T) {
 }
 
 // TestDownloadAdvertisesEncoding pins the download contract: download=gz
-// re-encodes as gzip, any other value sends the stored flat bytes —
+// encodes the stored view as gzip, byte-equal to the offline gz
+// encoding, and any other value sends the stored flat bytes —
 // the exact buffer MarshalFlat produces, whether the profile is a fresh
 // upload or promoted from the disk tier — and the Content-Type and
 // Content-Disposition always describe the encoding actually sent.
@@ -707,6 +731,10 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 	s, ts := newTestServer(t, Config{DiskDir: t.TempDir()})
 	p := testProfile(t, 11)
 	meta := uploadProfile(t, ts, p)
+	var wantGz bytes.Buffer
+	if err := profile.WriteGzip(&wantGz, p); err != nil {
+		t.Fatal(err)
+	}
 
 	get := func(q string) (*http.Response, []byte) {
 		t.Helper()
@@ -736,6 +764,9 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 		if id, _, _ := ProfileID(rt); id != meta.ID {
 			t.Fatalf("gz body re-addresses to %s", id)
 		}
+		if !bytes.Equal(body, wantGz.Bytes()) {
+			t.Fatalf("gz body (%d bytes) differs from the offline gz encoding (%d bytes)", len(body), wantGz.Len())
+		}
 	}
 	checkFlat := func(resp *http.Response, body []byte) {
 		t.Helper()
@@ -753,7 +784,7 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flat body does not open: %v", err)
 		}
-		if id, _, _ := ProfileID(f.Profile()); id != meta.ID {
+		if id, _, _ := ProfileID(f); id != meta.ID {
 			t.Fatalf("flat body re-addresses to %s", id)
 		}
 	}
@@ -792,20 +823,14 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 // while p's canonical varint encoding does not see the change.
 func poisoned(t *testing.T, p *profile.Profile) *profile.Profile {
 	t.Helper()
-	buf, err := profile.MarshalFlat(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := profile.OpenFlat(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := f.Profile()
+	q := *p
+	q.Leaves = slices.Clone(p.Leaves)
 	for i := range q.Leaves {
 		m := &q.Leaves[i].Op
 		if !m.Constant && len(m.ValN) >= 2 && m.ValN[0] != m.ValN[1] {
+			m.ValN = slices.Clone(m.ValN)
 			m.ValN[0], m.ValN[1] = m.ValN[1], m.ValN[0]
-			return q
+			return &q
 		}
 	}
 	t.Fatal("no leaf with a two-valued op model to poison")

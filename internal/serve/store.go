@@ -163,10 +163,10 @@ func NewTieredStore(cfg StoreConfig) (*Store, error) {
 	return s, nil
 }
 
-// ProfileID returns the store's content address for p — the hex SHA-256
+// ProfileID returns the store's content address for v — the hex SHA-256
 // of its flat encoding — along with that encoding's size in bytes.
-func ProfileID(p *profile.Profile) (id string, size int64, err error) {
-	buf, err := profile.MarshalFlat(p)
+func ProfileID(v profile.View) (id string, size int64, err error) {
+	buf, err := profile.MarshalFlat(v)
 	if err != nil {
 		return "", 0, fmt.Errorf("serve: encoding profile for addressing: %w", err)
 	}
@@ -186,16 +186,16 @@ func (s *Store) shardFor(id string) *shard {
 	return &s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
-// Put admits p, returning its metadata and whether it was newly added
+// Put admits v, returning its metadata and whether it was newly added
 // (false means an identical profile was already resident — a dedupe
 // hit, which refreshes the entry's recency instead). The store keeps
-// its own flat encoding of p, so the caller may reuse or mutate p
+// its own flat encoding of v, so the caller may reuse or mutate v
 // afterwards. When the shard is over budget, least-recently-used
 // unpinned entries are evicted to make room; if that cannot free
 // enough space, Put returns ErrStoreFull and the store is left
 // unchanged.
-func (s *Store) Put(p *profile.Profile) (Meta, bool, error) {
-	buf, err := profile.MarshalFlat(p)
+func (s *Store) Put(v profile.View) (Meta, bool, error) {
+	buf, err := profile.MarshalFlat(v)
 	if err != nil {
 		return Meta{}, false, fmt.Errorf("serve: encoding profile: %w", err)
 	}
@@ -389,20 +389,20 @@ func (s *Store) Acquire(id string) (*Pin, bool) {
 // promotion (the file was hashed to id when written or on its first
 // open).
 func flatMeta(id string, f *profile.Flat) Meta {
+	name, config := f.Header()
 	return Meta{
 		ID:       id,
-		Name:     f.Name(),
-		Config:   f.Config(),
+		Name:     name,
+		Config:   config,
 		Leaves:   f.NumLeaves(),
 		Requests: uint64(f.Requests()),
 		Bytes:    int64(f.Size()),
 	}
 }
 
-// View returns the pinned profile's flat view. It drives synthesis
-// directly, Bytes is its exact flat encoding, and Profile converts it
-// to a heap copy for paths that need one (canonical re-encoding).
-// The view must not be used after Release.
+// View returns the pinned profile's flat view. Synthesis and the gzip
+// encoder read it in place, and Bytes is its exact flat encoding. The
+// view must not be used after Release.
 func (p *Pin) View() *profile.Flat { return p.e.flat }
 
 // Meta returns the pinned profile's metadata.

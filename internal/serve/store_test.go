@@ -144,7 +144,7 @@ func TestStorePutCopiesProfile(t *testing.T) {
 	if id, _, _ := ProfileID(orig); id != meta.ID {
 		t.Fatalf("unmutated profile addresses to %s, stored under %s", id, meta.ID)
 	}
-	src := core.Synthesize(orig, 9)
+	src := core.SynthesizeFrom(orig, 9)
 	want := trace.Collect(src, 0)
 	if c, ok := src.(interface{ Close() }); ok {
 		c.Close()

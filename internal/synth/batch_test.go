@@ -149,12 +149,12 @@ func TestBatchedMatchesOldSynthesisPath(t *testing.T) {
 			for _, seed := range []uint64{0, 7, 999} {
 				want := trace.Collect(refSynth(p, seed), 0)
 				for _, w := range []int{1, 2, 4, 8} {
-					got := trace.Collect(New(p, seed, Workers(w)), 0)
+					got := trace.Collect(NewFrom(p, seed, Workers(w)), 0)
 					assertSameTrace(t, fmt.Sprintf("n=%d cfg=%d seed=%d workers=%d", n, ci, seed, w), got, want)
 				}
 				// Backpressure delays interleaved identically on both paths.
 				wantD := collectWithDelays(refSynth(p, seed), 13, 100)
-				gotD := collectWithDelays(New(p, seed, Workers(4)), 13, 100)
+				gotD := collectWithDelays(NewFrom(p, seed, Workers(4)), 13, 100)
 				assertSameTrace(t, fmt.Sprintf("delayed n=%d cfg=%d seed=%d", n, ci, seed), gotD, wantD)
 			}
 		}
@@ -168,9 +168,9 @@ func TestSerialVsParallelSynthesisIdentical(t *testing.T) {
 	tr := workload(21, 4000)
 	for ci, cfg := range chunkBoundaryConfigs() {
 		p := buildProfile(t, tr, cfg)
-		want := trace.Collect(New(p, 5), 0)
+		want := trace.Collect(NewFrom(p, 5), 0)
 		for w := 2; w <= 16; w++ {
-			got := trace.Collect(New(p, 5, Workers(w)), 0)
+			got := trace.Collect(NewFrom(p, 5, Workers(w)), 0)
 			assertSameTrace(t, fmt.Sprintf("cfg=%d workers=%d", ci, w), got, want)
 		}
 	}
@@ -192,7 +192,7 @@ func TestSynthesizerCounters(t *testing.T) {
 		}
 
 		reqs0, chunks0, leaves0 := mRequests.Value(), mChunks.Value(), mLeaves.Value()
-		s := New(p, 1)
+		s := NewFrom(p, 1)
 		n := len(trace.Collect(s, 0))
 		if n != p.Requests() {
 			t.Fatalf("cfg=%d: drained %d requests, want %d", ci, n, p.Requests())
@@ -207,7 +207,7 @@ func TestSynthesizerCounters(t *testing.T) {
 		}
 
 		reqs0 = mRequests.Value()
-		s = New(p, 1)
+		s = NewFrom(p, 1)
 		for i := 0; i < 300; i++ {
 			if _, ok := s.Next(); !ok {
 				t.Fatalf("cfg=%d: stream ended after %d requests", ci, i)
@@ -226,7 +226,7 @@ func TestSynthesizerCounters(t *testing.T) {
 
 func TestSynthesizerEmptyProfile(t *testing.T) {
 	for _, opts := range [][]Option{nil, {Workers(4)}} {
-		s := New(&profile.Profile{}, 1, opts...)
+		s := NewFrom(&profile.Profile{}, 1, opts...)
 		if _, ok := s.Next(); ok {
 			t.Error("empty profile produced a request")
 		}

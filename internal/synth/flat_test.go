@@ -36,7 +36,7 @@ func TestFlatSynthesisByteIdentical(t *testing.T) {
 	for ci, cfg := range cfgs {
 		p := buildProfile(t, tr, cfg)
 		f := openFlat(t, p)
-		want := trace.Collect(New(p, 99), 0)
+		want := trace.Collect(NewFrom(p, 99), 0)
 		for _, w := range []int{1, 4} {
 			got := trace.Collect(NewFrom(f, 99, Workers(w)), 0)
 			assertSameTrace(t, fmt.Sprintf("cfg=%d workers=%d", ci, w), got, want)
@@ -55,7 +55,7 @@ func TestFlatSynthesisSingleLeaf(t *testing.T) {
 		{Kind: partition.TemporalRequestCount, Param: 1 << 20},
 	}})
 	f := openFlat(t, p)
-	want := trace.Collect(New(p, 5), 0)
+	want := trace.Collect(NewFrom(p, 5), 0)
 	for _, w := range []int{1, 4} {
 		got := trace.Collect(NewFrom(f, 5, Workers(w)), 0)
 		assertSameTrace(t, fmt.Sprintf("workers=%d", w), got, want)

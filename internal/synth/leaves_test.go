@@ -79,7 +79,7 @@ func TestLeafStreamsUnionEqualsMergedStream(t *testing.T) {
 				total++
 			}
 		}
-		merged := trace.Collect(New(p, seed), 0)
+		merged := trace.Collect(NewFrom(p, seed), 0)
 		if total != len(merged) {
 			t.Fatalf("cfg %d: reassembled leaves hold %d requests, merged stream %d", ci, total, len(merged))
 		}
@@ -108,7 +108,7 @@ func TestLeafStreamCounts(t *testing.T) {
 		if len(seeds) != len(p.Leaves) {
 			t.Fatalf("cfg %d: got %d seeds for %d leaves", ci, len(seeds), len(p.Leaves))
 		}
-		merged := requestCounts(trace.Collect(New(p, seed), 0))
+		merged := requestCounts(trace.Collect(NewFrom(p, seed), 0))
 		for i := range p.Leaves {
 			l := &p.Leaves[i]
 			f := Features(l, seeds[i])
@@ -137,7 +137,7 @@ func TestFeaturesMatchStream(t *testing.T) {
 		p := buildProfile(t, tr, cfg)
 		const seed = 77
 		seeds := LeafSeeds(len(p.Leaves), seed)
-		merged := requestCounts(trace.Collect(New(p, seed), 0))
+		merged := requestCounts(trace.Collect(NewFrom(p, seed), 0))
 		for i := range p.Leaves {
 			l := &p.Leaves[i]
 			for j, want := range reassembleLeaf(l, Features(l, seeds[i])) {

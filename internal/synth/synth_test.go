@@ -41,7 +41,7 @@ func workload(seed uint64, n int) trace.Trace {
 func TestSynthesisRequestCount(t *testing.T) {
 	tr := workload(1, 2000)
 	p := buildProfile(t, tr, partition.TwoLevelTS(500))
-	got := trace.Collect(New(p, 9), 0)
+	got := trace.Collect(NewFrom(p, 9), 0)
 	if len(got) != len(tr) {
 		t.Errorf("synthesised %d requests, want %d", len(got), len(tr))
 	}
@@ -50,7 +50,7 @@ func TestSynthesisRequestCount(t *testing.T) {
 func TestSynthesisTimeOrdered(t *testing.T) {
 	tr := workload(2, 2000)
 	p := buildProfile(t, tr, partition.TwoLevelTS(500))
-	got := trace.Collect(New(p, 9), 0)
+	got := trace.Collect(NewFrom(p, 9), 0)
 	if !got.Sorted() {
 		t.Error("synthetic stream not in time order")
 	}
@@ -60,7 +60,7 @@ func TestSynthesisAddressesInLeafBounds(t *testing.T) {
 	tr := workload(3, 2000)
 	p := buildProfile(t, tr, partition.TwoLevelTS(500))
 	lo, hi := tr.AddrRange()
-	got := trace.Collect(New(p, 11), 0)
+	got := trace.Collect(NewFrom(p, 11), 0)
 	for _, r := range got {
 		if r.Addr < lo || r.Addr >= hi {
 			t.Fatalf("address 0x%x outside workload range [0x%x,0x%x)", r.Addr, lo, hi)
@@ -74,7 +74,7 @@ func TestStrictConvergencePreservesOpCounts(t *testing.T) {
 	tr := workload(4, 3000)
 	wantR, wantW := tr.Counts()
 	p := buildProfile(t, tr, partition.TwoLevelTS(500))
-	got := trace.Collect(New(p, 13), 0)
+	got := trace.Collect(NewFrom(p, 13), 0)
 	gotR, gotW := got.Counts()
 	if gotR != wantR || gotW != wantW {
 		t.Errorf("op counts = %d/%d, want %d/%d", gotR, gotW, wantR, wantW)
@@ -84,8 +84,8 @@ func TestStrictConvergencePreservesOpCounts(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	tr := workload(5, 1000)
 	p := buildProfile(t, tr, partition.TwoLevelTS(500))
-	a := trace.Collect(New(p, 7), 0)
-	b := trace.Collect(New(p, 7), 0)
+	a := trace.Collect(NewFrom(p, 7), 0)
+	b := trace.Collect(NewFrom(p, 7), 0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different streams")
@@ -96,8 +96,8 @@ func TestDeterministicForSeed(t *testing.T) {
 func TestSeedsVary(t *testing.T) {
 	tr := workload(6, 1000)
 	p := buildProfile(t, tr, partition.TwoLevelTS(500))
-	a := trace.Collect(New(p, 1), 0)
-	b := trace.Collect(New(p, 2), 0)
+	a := trace.Collect(NewFrom(p, 1), 0)
+	b := trace.Collect(NewFrom(p, 2), 0)
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -116,7 +116,7 @@ func TestPerfectRecreationOfLinearStream(t *testing.T) {
 		tr = append(tr, req(uint64(i*10), uint64(1000+i*64), 64, trace.Read))
 	}
 	p := buildProfile(t, tr, partition.TwoLevelTS(1<<40))
-	got := trace.Collect(New(p, 3), 0)
+	got := trace.Collect(NewFrom(p, 3), 0)
 	if len(got) != len(tr) {
 		t.Fatalf("got %d requests", len(got))
 	}
@@ -133,7 +133,7 @@ func TestDelayShiftsPending(t *testing.T) {
 		tr = append(tr, req(uint64(i*100), uint64(i*64), 64, trace.Read))
 	}
 	p := buildProfile(t, tr, partition.TwoLevelTS(1<<40))
-	s := New(p, 1)
+	s := NewFrom(p, 1)
 	first, _ := s.Next()
 	s.Delay(500)
 	second, _ := s.Next()
@@ -147,7 +147,7 @@ func TestStartTimesPreserved(t *testing.T) {
 	// synthetic request matches the first original one.
 	tr := workload(7, 500)
 	p := buildProfile(t, tr, partition.TwoLevelTS(500))
-	got, ok := New(p, 5).Next()
+	got, ok := NewFrom(p, 5).Next()
 	if !ok {
 		t.Fatal("no requests")
 	}
@@ -284,7 +284,7 @@ func TestSynthesisProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := trace.Collect(New(p, seed^0xdead), 0)
+		got := trace.Collect(NewFrom(p, seed^0xdead), 0)
 		if len(got) != len(tr) || !got.Sorted() {
 			return false
 		}

@@ -24,7 +24,7 @@ func decode(r io.Reader) (Trace, error) {
 // decodeBinary reads r as the binary format without sniffing, so empty
 // input is a header error rather than an empty CSV trace.
 func decodeBinary(r io.Reader) (Trace, error) {
-	d, err := newBinaryDecoder(bufio.NewReader(r), false)
+	d, err := newBinaryDecoder(bufio.NewReader(r))
 	if err != nil {
 		return nil, err
 	}

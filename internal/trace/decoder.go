@@ -65,14 +65,14 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: opening gzip stream: %w", err)
 		}
-		d, err := newBinaryDecoder(bufio.NewReaderSize(zr, streamBufSize), true)
+		d, err := newBinaryDecoder(bufio.NewReaderSize(zr, streamBufSize))
 		if err != nil {
 			return nil, err
 		}
 		d.format = "gz"
 		return d, nil
 	case len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix) == traceMagic:
-		return newBinaryDecoder(br, false)
+		return newBinaryDecoder(br)
 	default:
 		return newCSVDecoder(br), nil
 	}
@@ -118,11 +118,13 @@ func (d *Decoder) ReadAll() (Trace, error) {
 }
 
 // newBinaryDecoder validates the binary header and returns a decoder
-// over its records. With toEOF set, the stream must end right after the
-// announced records. A gzip reader compares its CRC-32 and length
-// trailer only when a read reaches EOF, so this is the check that
-// rejects a corrupted gzip body that still inflates to valid records.
-func newBinaryDecoder(br *bufio.Reader, toEOF bool) (*Decoder, error) {
+// over its records. The stream must end right after the announced
+// records, so surplus bytes — a second trace appended to the first, say
+// — are an error rather than silently dropped. A gzip reader compares
+// its CRC-32 and length trailer only when a read reaches EOF, so this
+// is also the check that rejects a corrupted gzip body that still
+// inflates to valid records.
+func newBinaryDecoder(br *bufio.Reader) (*Decoder, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
@@ -142,12 +144,10 @@ func newBinaryDecoder(br *bufio.Reader, toEOF bool) (*Decoder, error) {
 		if i >= n {
 			if end == nil {
 				end = io.EOF
-				if toEOF {
-					if _, err := br.ReadByte(); err == nil {
-						end = fmt.Errorf("trace: trailing data after record %d", n)
-					} else if err != io.EOF {
-						end = fmt.Errorf("trace: after record %d: %w", n, err)
-					}
+				if _, err := br.ReadByte(); err == nil {
+					end = fmt.Errorf("trace: trailing data after record %d", n)
+				} else if err != io.EOF {
+					end = fmt.Errorf("trace: after record %d: %w", n, err)
 				}
 			}
 			return end

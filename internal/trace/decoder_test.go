@@ -112,7 +112,8 @@ func TestDecoderEmptyInput(t *testing.T) {
 }
 
 // TestDecoderErrors pins the decoder's error behaviour on malformed
-// input: truncation, bad magic, bad version, bad op, bad CSV fields.
+// input: truncation, surplus bytes, bad magic, bad version, bad op, bad
+// CSV fields.
 func TestDecoderErrors(t *testing.T) {
 	var bin bytes.Buffer
 	if _, err := WriteBinary(&bin, decoderTrace()[:3]); err != nil {
@@ -152,6 +153,18 @@ func TestDecoderErrors(t *testing.T) {
 		}
 		if _, err := d.ReadAll(); err == nil || !strings.Contains(err.Error(), "bad op 7") {
 			t.Fatalf("want bad-op error, got %v", err)
+		}
+	})
+	t.Run("concatenated-bin", func(t *testing.T) {
+		// A second trace appended to the first is surplus data after
+		// the announced records, not records to drop.
+		two := append(append([]byte(nil), full...), full...)
+		d, err := NewDecoder(bytes.NewReader(two))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ReadAll(); err == nil || !strings.Contains(err.Error(), "trailing data after record 3") {
+			t.Fatalf("want trailing-data error, got %v", err)
 		}
 	})
 	t.Run("csv-bad-line", func(t *testing.T) {

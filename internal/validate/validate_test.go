@@ -22,7 +22,7 @@ func simPair(t *testing.T) (dram.Result, dram.Result) {
 		t.Fatal(err)
 	}
 	ref := dram.Run(trace.NewReplayer(tr), dram.Default(), 20)
-	got := dram.Run(core.Synthesize(p, 42), dram.Default(), 20)
+	got := dram.Run(core.SynthesizeFrom(p, 42), dram.Default(), 20)
 	return ref, got
 }
 
